@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .corpus import Contract, Dataset, LabelVector
+from .corpus import Contract, Dataset, LabelVector, word_tokens
 from .errors import EmptyCorpus, InvalidParameter
 
 DEFAULT_K1 = 1.5
@@ -39,8 +38,6 @@ DEFAULT_KEYWORDS = (
     "assert",
 )
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
 
 def _keyword_pattern(keyword: str) -> re.Pattern:
     return re.compile(r"(?<![a-z0-9])" + re.escape(keyword.lower()) + r"(?![a-z0-9])")
@@ -57,7 +54,7 @@ def _collapse_runs(tokens: list[str]) -> list[str]:
 def tokenize(source: str, keywords: Sequence[str] = DEFAULT_KEYWORDS) -> list[str]:
     """Lowercase, split on non-alphanumerics, append keyword matches, collapse runs."""
     lower = source.lower()
-    tokens = _TOKEN_RE.findall(lower)
+    tokens = word_tokens(lower)
     for keyword in keywords:
         count = len(_keyword_pattern(keyword).findall(lower))
         tokens.extend([keyword.lower()] * count)
@@ -72,7 +69,7 @@ class RetrievalHit:
 
 
 class Bm25Index:
-    """BM25 statistics plus CSR postings for the scoring kernel."""
+    """BM25 statistics plus CSR postings for scoring."""
 
     def __init__(self, doc_tokens, ids, labels, k1=DEFAULT_K1, b=DEFAULT_B,
                  keywords=DEFAULT_KEYWORDS):
@@ -120,41 +117,20 @@ class Bm25Index:
         n = self.doc_freq.get(term, 0)
         return math.log((self.N - n + 0.5) / (n + 0.5) + 1.0)
 
-    def score(self, query_tokens: Sequence[str], doc_index: int) -> float:
-        """BM25 relevance of one document for the given query token list."""
-        tf = self.term_freqs[doc_index]
-        norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths[doc_index] / self.avg_len)
-        total = 0.0
-        for term in query_tokens:
-            f = tf.get(term, 0)
-            if f == 0:
-                continue
-            total += self.idf(term) * (self.k1 + 1.0) * f / (norm + f)
-        return total
-
     def score_all(self, query_tokens: Sequence[str]) -> np.ndarray:
-        """Scores against every indexed document, via the postings kernel."""
-        multiplicity = Counter(query_tokens)
-        starts, ends, weights = [], [], []
-        for term, mult in multiplicity.items():
+        """Scores against every indexed document, one postings slice per query term."""
+        scores = np.zeros(self.N)
+        for term, mult in Counter(query_tokens).items():
             tid = self.vocab.get(term)
             if tid is None:
                 continue  # unseen term: zero contribution everywhere
-            starts.append(self._post_indptr[tid])
-            ends.append(self._post_indptr[tid + 1])
-            weights.append(mult * self.idf(term))
-        scores = np.zeros(self.N)
-        if starts:
-            _kernels.bm25_accumulate(
-                scores,
-                self._post_docs,
-                self._post_counts,
-                np.array(starts, dtype=np.int64),
-                np.array(ends, dtype=np.int64),
-                np.array(weights, dtype=np.float64),
-                self._norms,
-                self.k1,
-            )
+            lo, hi = self._post_indptr[tid], self._post_indptr[tid + 1]
+            docs = self._post_docs[lo:hi]
+            counts = self._post_counts[lo:hi]
+            # postings of one term list each document once, so plain fancy
+            # indexing accumulates correctly
+            weight = mult * self.idf(term)
+            scores[docs] += weight * (self.k1 + 1.0) * counts / (self._norms[docs] + counts)
         return scores
 
     # -- persistence ---------------------------------------------------------
@@ -210,8 +186,8 @@ def bm25_retrieve(query: Contract, index: Bm25Index, k: int = DEFAULT_TOP_K) -> 
     ]
 
 
-def bm25_vote(hits: Sequence[RetrievalHit], threshold: int = DEFAULT_VOTE_THRESHOLD,
-              num_labels: Optional[int] = None) -> LabelVector:
+def threshold_vote(hits: Sequence[RetrievalHit], threshold: float,
+                   num_labels: Optional[int] = None) -> LabelVector:
     """Set label j iff at least `threshold` hits carry it."""
     if num_labels is None:
         if not hits:
@@ -222,3 +198,9 @@ def bm25_vote(hits: Sequence[RetrievalHit], threshold: int = DEFAULT_VOTE_THRESH
         for j, bit in enumerate(hit.labels.bits):
             counts[j] += bit
     return LabelVector(bits=tuple(1 if c >= threshold else 0 for c in counts))
+
+
+def bm25_vote(hits: Sequence[RetrievalHit], threshold: int = DEFAULT_VOTE_THRESHOLD,
+              num_labels: Optional[int] = None) -> LabelVector:
+    """Set label j iff at least `threshold` of the top-k hits carry it."""
+    return threshold_vote(hits, threshold, num_labels)

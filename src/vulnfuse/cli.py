@@ -74,34 +74,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# config field each override sets; a dict picks the field by command, None
+# standing for every other command
+_OVERRIDE_FIELDS = {
+    "seed": "seed",
+    "k": "bm25.top_k",
+    "k1": "bm25.k1",
+    "b": "bm25.b",
+    "vote_threshold": "bm25.vote_threshold",
+    "alpha": "slora.alpha",
+    "rank": "slora.rank",
+    "epochs": {"train-meta": "meta.epochs", None: "slora.epochs"},
+    "threshold": "meta.threshold",
+    "endpoint": {"report": "external.report_endpoint", None: "external.endpoint"},
+}
+
+
 def _config_with_overrides(args) -> "pipeline.PipelineConfig":
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "k", None) is not None:
-        config.bm25.top_k = args.k
-    if getattr(args, "k1", None) is not None:
-        config.bm25.k1 = args.k1
-    if getattr(args, "b", None) is not None:
-        config.bm25.b = args.b
-    if getattr(args, "vote_threshold", None) is not None:
-        config.bm25.vote_threshold = args.vote_threshold
-    if getattr(args, "alpha", None) is not None:
-        config.slora.alpha = args.alpha
-    if getattr(args, "rank", None) is not None:
-        config.slora.rank = args.rank
-    if getattr(args, "epochs", None) is not None:
-        if args.command == "train-meta":
-            config.meta.epochs = args.epochs
-        else:
-            config.slora.epochs = args.epochs
-    if getattr(args, "threshold", None) is not None:
-        config.meta.threshold = args.threshold
-    if getattr(args, "endpoint", None) is not None:
-        if args.command == "report":
-            config.external.report_endpoint = args.endpoint
-        else:
-            config.external.endpoint = args.endpoint
+    for name, target in _OVERRIDE_FIELDS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if isinstance(target, dict):
+            target = target.get(args.command, target[None])
+        section, _, attr = target.rpartition(".")
+        setattr(getattr(config, section) if section else config, attr, value)
     return config
 
 

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 from .bm25 import DEFAULT_B, DEFAULT_K1, DEFAULT_KEYWORDS, DEFAULT_TOP_K, DEFAULT_VOTE_THRESHOLD
-from .dense import DEFAULT_CHI, DEFAULT_EMBED_DIM, DEFAULT_MIN_LEN, DEFAULT_OVERLAP, DEFAULT_WINDOW
-from .errors import ConfigError
-from .meta import DEFAULT_HIDDEN1, DEFAULT_HIDDEN2, DEFAULT_LAMBDA, DEFAULT_THRESHOLD
+from .dense import (DEFAULT_CHI, DEFAULT_EMBED_DIM, DEFAULT_MIN_LEN, DEFAULT_OVERLAP,
+                    DEFAULT_WINDOW, SegmentationParams)
+from .errors import ConfigError, InvalidParameter
+from .meta import DEFAULT_HIDDEN1, DEFAULT_HIDDEN2, DEFAULT_THRESHOLD
+from .slora import TrainConfig
 
 DEFAULT_DETECTORS = ({"kind": "dense"}, {"kind": "bm25"}, {"kind": "slora"})
 
@@ -48,7 +50,6 @@ class SloraConfig:
 class MetaConfig:
     hidden1: int = DEFAULT_HIDDEN1
     hidden2: int = DEFAULT_HIDDEN2
-    lam: float = DEFAULT_LAMBDA
     threshold: float = DEFAULT_THRESHOLD
     learning_rate: float = 0.1
     batch_size: int = 32
@@ -79,18 +80,13 @@ class PipelineConfig:
     detectors: tuple = DEFAULT_DETECTORS
 
 
-_SECTION_FIELDS = {
-    "bm25": {"k1", "b", "top_k", "vote_threshold", "keywords"},
-    "dense": {"window", "overlap", "min_len", "chi", "embed_dim"},
-    "slora": {"feature_dim", "rank", "alpha", "learning_rate", "batch_size",
-              "epochs", "patience"},
-    "meta": {"hidden1", "hidden2", "lam", "threshold", "learning_rate",
-             "batch_size", "epochs"},
-    "external": {"endpoint", "timeout", "auth_header", "report_endpoint"},
-}
+_SECTIONS = ("bm25", "dense", "slora", "meta", "external")
 
 _TOP_KEYS = {"taxonomy", "datasets", "knowledge", "prompt_template", "seed",
-             "detectors"} | set(_SECTION_FIELDS)
+             "detectors"} | set(_SECTIONS)
+
+# JSON value types accepted for the numeric fields, by field annotation
+_NUMERIC_TYPES = {"int": int, "float": (int, float), "Optional[int]": (int, type(None))}
 
 _DETECTOR_KINDS = {"slora", "bm25", "dense", "external", "mock"}
 
@@ -117,24 +113,30 @@ def load_config(path) -> PipelineConfig:
     config.test_path = datasets.get("test")
     config.knowledge_path = raw.get("knowledge")
     config.prompt_template_path = raw.get("prompt_template")
-    config.seed = int(raw.get("seed", 0))
+    config.seed = raw.get("seed", 0)
+    if not _is_type(config.seed, int):
+        raise ConfigError("'seed' must be an integer", keys=["seed"])
 
     offending = []
-    for section, fields in _SECTION_FIELDS.items():
+    for section in _SECTIONS:
         block = raw.get(section, {})
         if not isinstance(block, dict):
             offending.append(section)
             continue
         target = getattr(config, section)
+        annotations = {f.name: f.type for f in fields(target)}
         for key, value in block.items():
-            if key not in fields:
+            numeric = _NUMERIC_TYPES.get(annotations.get(key))
+            if key not in annotations or (numeric and not _is_type(value, numeric)):
                 offending.append(f"{section}.{key}")
                 continue
             if key == "keywords":
                 value = tuple(value)
             setattr(target, key, value)
     if offending:
-        raise ConfigError(f"invalid config keys: {sorted(offending)}", keys=offending)
+        raise ConfigError(f"invalid config keys or values: {sorted(offending)}",
+                          keys=offending)
+    _check_ranges(config)
 
     if "detectors" in raw:
         detectors = raw["detectors"]
@@ -148,20 +150,17 @@ def load_config(path) -> PipelineConfig:
     return config
 
 
-def write_default_config(path, corpus_dir="corpus", workdir="work") -> None:
-    """Starter config pointing at a synthesized corpus layout."""
-    payload = {
-        "seed": 7,
-        "taxonomy": f"{corpus_dir}/taxonomy.json",
-        "datasets": {"train": f"{corpus_dir}/train.jsonl", "test": f"{corpus_dir}/test.jsonl"},
-        "bm25": {"k1": DEFAULT_K1, "b": DEFAULT_B, "top_k": DEFAULT_TOP_K,
-                 "vote_threshold": DEFAULT_VOTE_THRESHOLD},
-        "dense": {"window": DEFAULT_WINDOW, "overlap": DEFAULT_OVERLAP,
-                  "min_len": DEFAULT_MIN_LEN, "chi": DEFAULT_CHI},
-        "slora": {"feature_dim": 64, "rank": 8, "alpha": 0.9,
-                  "learning_rate": 5e-5, "batch_size": 8, "epochs": 5},
-        "meta": {"hidden1": DEFAULT_HIDDEN1, "hidden2": DEFAULT_HIDDEN2,
-                 "threshold": DEFAULT_THRESHOLD},
-        "detectors": [{"kind": "dense"}, {"kind": "bm25"}, {"kind": "slora"}],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _is_type(value, types) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _check_ranges(config: PipelineConfig) -> None:
+    """Run the stage parameter validators now, so bad values fail at load."""
+    dense = config.dense
+    try:
+        SegmentationParams(dense.window, dense.overlap, dense.min_len, dense.chi)
+        for section in (config.slora, config.meta):
+            TrainConfig(section.learning_rate, section.batch_size, section.epochs)
+    except InvalidParameter as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc

@@ -2,17 +2,20 @@
 
 Dataset files hold one JSON object per line with fields ``id`` (string),
 ``source`` (string) and optionally ``labels`` (array of 0/1 ints of taxonomy
-length). The taxonomy file is a JSON array of label names.
+length). The taxonomy file is a JSON array of label names. The word
+tokenizer and signed feature hash shared by the detectors live here too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import EmptyContract, ParseError, SchemaError, UnknownLabel
+from .errors import EmptyContract, ParseError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -40,15 +43,6 @@ class LabelVector:
     @classmethod
     def zeros(cls, length: int) -> "LabelVector":
         return cls(bits=(0,) * length)
-
-
-def label_vector_from_names(names: Iterable[str], taxonomy: Sequence[str]) -> LabelVector:
-    """Set bit i iff taxonomy[i] is in `names`; unknown names are an error."""
-    wanted = set(names)
-    unknown = wanted - set(taxonomy)
-    if unknown:
-        raise UnknownLabel(f"labels not in taxonomy: {sorted(unknown)}")
-    return LabelVector(bits=tuple(1 if name in wanted else 0 for name in taxonomy))
 
 
 @dataclass(frozen=True)
@@ -82,13 +76,24 @@ class Dataset:
                 return c
         raise KeyError(contract_id)
 
-    def subset(self, designation: str) -> "Dataset":
-        kept = tuple(c for c in self.contracts if self.split.get(c.id) == designation)
-        return Dataset(
-            contracts=kept,
-            taxonomy=self.taxonomy,
-            split={c.id: designation for c in kept},
-        )
+
+# ---------------------------------------------------------------------------
+# tokens and feature hashing
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def word_tokens(text: str) -> list[str]:
+    """Lowercased alphanumeric runs of `text`."""
+    return _TOKEN_RE.findall(text.lower())
+
+
+def signed_bucket(text: str, dim: int, key: bytes = b"") -> tuple[int, float]:
+    """Bucket index in [0, dim) and a +/-1 sign from one keyed 64-bit hash digest."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8, key=key).digest()
+    h = int.from_bytes(digest, "big")
+    return h % dim, (1.0 if (h >> 63) & 1 == 0 else -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +172,7 @@ def preprocess(raw_source: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# ingestion / export
+# ingestion
 # ---------------------------------------------------------------------------
 
 def load_taxonomy(path) -> tuple[str, ...]:
@@ -219,16 +224,6 @@ def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
         taxonomy=taxonomy,
         split={c.id: split for c in contracts},
     )
-
-
-def export(dataset: Dataset, path) -> None:
-    """Write a dataset back to line-delimited JSON (inverse of ingest)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in dataset.contracts:
-            record = {"id": c.id, "source": c.source}
-            if c.labels is not None:
-                record["labels"] = list(c.labels.bits)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def check_disjoint(train: Dataset, test: Dataset) -> None:

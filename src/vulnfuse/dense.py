@@ -7,26 +7,21 @@ boundaries are identical on every platform. The embedder hashes token
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bm25 import RetrievalHit
-from .corpus import Contract, Dataset, LabelVector
-from .errors import EmptyFragment, EmptyStore, InvalidParameter, NoFragments, ZeroVector
+from .bm25 import RetrievalHit, threshold_vote
+from .corpus import Contract, Dataset, LabelVector, signed_bucket, word_tokens
+from .errors import EmptyFragment, EmptyStore, InvalidParameter, NoFragments
 
 DEFAULT_WINDOW = 1500
 DEFAULT_OVERLAP = 300
 DEFAULT_MIN_LEN = 100
 DEFAULT_CHI = 5
 DEFAULT_EMBED_DIM = 256
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -98,42 +93,28 @@ class HashingEmbedder:
         self.dim = dim
 
     def _grams(self, text: str) -> list[str]:
-        tokens = _TOKEN_RE.findall(text.lower())
+        tokens = word_tokens(text)
         if not tokens:
             raise EmptyFragment("fragment has no tokenizable content")
         if len(tokens) < 3:
             return [" ".join(tokens)]
         return [" ".join(tokens[i:i + 3]) for i in range(len(tokens) - 2)]
 
-    def bucket(self, gram: str) -> tuple[int, float]:
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-        h = int.from_bytes(digest, "big")
-        sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-        return h % self.dim, sign
-
     def embed(self, fragment_text: str) -> np.ndarray:
         if not fragment_text:
             raise EmptyFragment("cannot embed empty text")
         vec = np.zeros(self.dim)
         for gram in self._grams(fragment_text):
-            idx, sign = self.bucket(gram)
+            idx, sign = signed_bucket(gram, self.dim)
             vec[idx] += sign
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             # opposite-signed grams cancelled; fall back to unsigned counts
             for gram in self._grams(fragment_text):
-                idx, _ = self.bucket(gram)
+                idx, _ = signed_bucket(gram, self.dim)
                 vec[idx] += 1.0
             norm = np.linalg.norm(vec)
         return vec / norm
-
-
-def cosine(q: np.ndarray, d: np.ndarray) -> float:
-    qn = np.linalg.norm(q)
-    dn = np.linalg.norm(d)
-    if qn == 0.0 or dn == 0.0:
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
-    return float(np.dot(q, d) / (qn * dn))
 
 
 @dataclass
@@ -231,13 +212,4 @@ def dynamic_threshold(n_retrieved: int) -> float:
 
 def dense_vote(hits: Sequence[RetrievalHit], num_labels: Optional[int] = None) -> LabelVector:
     """One vote per hit per carried label; keep labels with votes >= threshold."""
-    if num_labels is None:
-        if not hits:
-            raise InvalidParameter("num_labels required when the hit list is empty")
-        num_labels = len(hits[0].labels)
-    tau = dynamic_threshold(len(hits))
-    counts = [0] * num_labels
-    for hit in hits:
-        for j, bit in enumerate(hit.labels.bits):
-            counts[j] += bit
-    return LabelVector(bits=tuple(1 if c >= tau else 0 for c in counts))
+    return threshold_vote(hits, dynamic_threshold(len(hits)), num_labels)

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .bm25 import Bm25Index, bm25_retrieve, bm25_vote
 from .corpus import Contract
 from .dense import HashingEmbedder, SegmentationParams, VectorStore, dense_retrieve, dense_vote
@@ -79,7 +78,6 @@ class Bm25Detector(Detector):
         self.index = index
         self.top_k = top_k
         self.vote_threshold = vote_threshold
-        _kernels.warmup()
 
     def predict(self, contract):
         hits = bm25_retrieve(contract, self.index, self.top_k)
@@ -112,7 +110,6 @@ class SloraDetector(Detector):
         self.layer = layer
         self.head = head
         self.extractor = extractor
-        _kernels.warmup()
 
     def predict(self, contract):
         x = self.extractor.extract(contract.source)[None, :]

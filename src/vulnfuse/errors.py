@@ -21,10 +21,6 @@ class SchemaError(VulnfuseError):
     """A record violates the dataset schema (e.g. label length mismatch)."""
 
 
-class UnknownLabel(VulnfuseError):
-    """A label name is not part of the configured taxonomy."""
-
-
 class EmptyCorpus(VulnfuseError):
     """An index build was attempted on an empty dataset."""
 
@@ -35,10 +31,6 @@ class InvalidParameter(VulnfuseError):
 
 class EmptyFragment(VulnfuseError):
     """A text fragment has no embeddable content."""
-
-
-class ZeroVector(VulnfuseError):
-    """Cosine similarity of a zero vector is undefined."""
 
 
 class NoFragments(VulnfuseError):

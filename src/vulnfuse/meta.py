@@ -17,11 +17,11 @@ import numpy as np
 from .corpus import LabelVector
 from .detectors import DetectionResult
 from .errors import AllDetectorsFailed, EmptyDataset, InvalidParameter, NumericError, ShapeError
+from .slora import sigmoid
 
 DEFAULT_HIDDEN1 = 16
 DEFAULT_HIDDEN2 = 8
 DEFAULT_THRESHOLD = 0.5
-DEFAULT_LAMBDA = 1.0
 IMPUTED_PROBABILITY = 0.5  # stands in for a failed detector
 
 
@@ -69,22 +69,12 @@ def fuse(w: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     return w * yhat
 
 
-def _sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def meta_forward(learner: MetaLearner, x) -> float:
     """relu -> relu -> sigmoid on a fused length-psi input; output in (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
     h1 = np.maximum(learner.w1 @ x + learner.b1, 0.0)
     h2 = np.maximum(learner.w2 @ h1 + learner.b2, 0.0)
-    return float(_sigmoid(learner.w3 @ h2 + learner.b3)[0])
+    return float(sigmoid(learner.w3 @ h2 + learner.b3)[0])
 
 
 def meta_forward_counted(learner: MetaLearner, x) -> tuple[float, int]:
@@ -101,7 +91,7 @@ def _forward_batch(learner: MetaLearner, raw: np.ndarray):
     z2 = a1 @ learner.w2.T + learner.b2
     a2 = np.maximum(z2, 0.0)
     z3 = a2 @ learner.w3.T + learner.b3
-    return fused, z1, a1, z2, a2, _sigmoid(z3)[:, 0]
+    return fused, z1, a1, z2, a2, sigmoid(z3)[:, 0]
 
 
 def predict_batch(learner: MetaLearner, raw: np.ndarray) -> np.ndarray:

@@ -38,9 +38,6 @@ class EvalSummary:
             out["verified"] = self.verified.as_dict()
         return out
 
-    def timing_dict(self) -> dict:
-        return {name: self.mean_seconds[name] for name in sorted(self.mean_seconds)}
-
 
 def compute_metrics(predictions: Sequence[LabelVector],
                     truths: Sequence[LabelVector]) -> MetricSet:

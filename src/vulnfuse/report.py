@@ -196,11 +196,6 @@ def load_prompt_template(path) -> str:
     return text
 
 
-def write_default_knowledge(path) -> None:
-    Path(path).write_text(json.dumps(DEFAULT_KNOWLEDGE, indent=2, sort_keys=True),
-                          encoding="utf-8")
-
-
 def _sections_for(label: str, knowledge: dict) -> tuple[dict, bool]:
     entry = knowledge.get(label)
     if entry and all(entry.get(k) for k in SECTION_KEYS):

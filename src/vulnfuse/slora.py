@@ -9,22 +9,16 @@ features.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .corpus import Dataset, LabelVector
+from .corpus import Dataset, signed_bucket, word_tokens
 from .errors import EmptyDataset, InvalidParameter, ShapeError
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 BCE_EPS = 1e-7
 
@@ -92,8 +86,14 @@ def sparsify(s: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
     k = active_entry_count(alpha, s.size)
     mask = np.zeros(s.shape, dtype=np.uint8)
     if k > 0:
-        order = np.argsort(-np.abs(s).ravel(), kind="stable")
-        mask.ravel()[order[:k]] = 1
+        magnitude = np.abs(s).ravel()
+        kth = np.partition(magnitude, magnitude.size - k)[magnitude.size - k]
+        above = magnitude > kth
+        # entries tied with the k-th largest fill the remaining slots in order
+        tied = np.flatnonzero(magnitude == kth)[:k - np.count_nonzero(above)]
+        flat = mask.ravel()
+        flat[above] = 1
+        flat[tied] = 1
     return mask, k
 
 
@@ -105,13 +105,10 @@ def lowrank_forward(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def sparse_forward(x: np.ndarray, s: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """x*(S (.) M) touching only the active entries of the mask."""
+    """x*(S (.) M) as one dense matmul over the masked matrix."""
     if x.shape[1] != s.shape[0] or s.shape != mask.shape:
         raise ShapeError(f"shapes do not conform: x{x.shape} s{s.shape} mask{mask.shape}")
-    rows, cols = np.nonzero(mask)
-    out = np.zeros((x.shape[0], s.shape[1]))
-    _kernels.sparse_accumulate(out, rows, cols, s[rows, cols], x)
-    return out
+    return x @ (s * mask)
 
 
 def adapter_forward(x: np.ndarray, layer: AdapterLayer) -> np.ndarray:
@@ -126,12 +123,10 @@ def increment_forward_counted(x: np.ndarray, layer: AdapterLayer) -> tuple[np.nd
     n, d = x.shape
     r = layer.rank
     mask, _ = sparsify(layer.s, layer.alpha)
-    rows, cols = np.nonzero(mask)
     count = n * d * r        # x @ U
     count += n * r * d       # (xU) @ V
-    count += n * rows.size   # one multiply per sample per active entry
-    out = lowrank_forward(x, layer.u, layer.v)
-    _kernels.sparse_accumulate(out, rows, cols, layer.s[rows, cols], x)
+    count += n * int(np.count_nonzero(mask))  # one multiply per sample per active entry
+    out = lowrank_forward(x, layer.u, layer.v) + sparse_forward(x, layer.s, mask)
     return out, count
 
 
@@ -146,7 +141,8 @@ def flop_count(layer: AdapterLayer, n: int) -> int:
 # loss and head
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so exp never overflows."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -177,7 +173,7 @@ def init_head(dim: int, num_labels: int, seed: int = 0) -> ReadoutHead:
 
 
 def classifier_probs(x: np.ndarray, layer: AdapterLayer, head: ReadoutHead) -> np.ndarray:
-    return _sigmoid(adapter_forward(x, layer) @ head.w + head.b)
+    return sigmoid(adapter_forward(x, layer) @ head.w + head.b)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ def batch_loss_and_grads(x, y, layer: AdapterLayer, head: ReadoutHead, mask: np.
     n, num_labels = y.shape
     h = x @ layer.w_q + lowrank_forward(x, layer.u, layer.v) \
         + sparse_forward(x, layer.s, mask)
-    probs = _sigmoid(h @ head.w + head.b)
+    probs = sigmoid(h @ head.w + head.b)
     p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
     loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
@@ -295,11 +291,9 @@ class HashedFeatureExtractor:
 
     def extract(self, source: str) -> np.ndarray:
         vec = np.zeros(self.dim)
-        for token in _TOKEN_RE.findall(source.lower()):
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=self._key).digest()
-            h = int.from_bytes(digest, "big")
-            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-            vec[h % self.dim] += sign
+        for token in word_tokens(source):
+            idx, sign = signed_bucket(token, self.dim, self._key)
+            vec[idx] += sign
         norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 

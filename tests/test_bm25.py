@@ -136,14 +136,14 @@ class TestScore:
     def test_absent_term_contributes_zero(self, taxonomy5):
         ds = make_dataset([("alpha bravo", [0] * 5)], taxonomy5)
         index = build_bm25(ds)
-        assert index.score(["missing"], 0) == 0.0
+        assert index.score_all(["missing"])[0] == 0.0
 
     def test_repeated_term_contribution(self, taxonomy5):
         # single doc, so l_D = l_avg and the normalizer reduces to k1
         ds = make_dataset([("alpha beta alpha gamma", [0] * 5)], taxonomy5)
         index = build_bm25(ds)
         expected = index.idf("alpha") * (index.k1 + 1.0) * 2.0 / (index.k1 + 2.0)
-        assert index.score(["alpha"], 0) == pytest.approx(expected, abs=1e-12)
+        assert index.score_all(["alpha"])[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(index.idf("alpha") * 10.0 / 7.0, abs=1e-12)
 
     def test_matches_oracle_on_random_corpus(self, taxonomy5):
@@ -158,7 +158,6 @@ class TestScore:
             for di in range(60):
                 want = oracle_score(query, token_docs[di], token_docs, index.k1, index.b)
                 assert scores[di] == pytest.approx(want, abs=1e-9)
-                assert index.score(query, di) == pytest.approx(want, abs=1e-9)
 
     def test_monotone_in_term_frequency(self):
         # contribution (k1+1)f/(norm+f) is nondecreasing in f for fixed norm

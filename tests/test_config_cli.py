@@ -5,8 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from vulnfuse.cli import EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from vulnfuse.config import PipelineConfig, load_config, write_default_config
+from vulnfuse.cli import (
+    EXIT_ALL_FAILED,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_STAGE,
+    _config_with_overrides,
+    build_parser,
+    main,
+)
+from vulnfuse.config import PipelineConfig, load_config
 from vulnfuse.errors import ConfigError
 from vulnfuse.synth import generate_corpus, write_corpus
 
@@ -37,13 +45,34 @@ class TestDefaults:
         config = PipelineConfig()
         assert (config.meta.hidden1, config.meta.hidden2) == (16, 8)
         assert config.meta.threshold == 0.5
-        assert config.meta.lam == 1.0
+
+
+# each loads as JSON but carries a value no stage can run with
+BAD_VALUES = [
+    {"bm25": {"k1": "x"}},
+    {"dense": {"overlap": 2000}},
+    {"slora": {"epochs": 0}},
+    {"slora": {"patience": 1.5}},
+    {"meta": {"epochs": True}},
+    {"meta": {"lam": 1.0}},   # removed key
+    {"seed": "7"},
+]
 
 
 class TestLoadConfig:
     def test_valid_file(self, tmp_path):
         path = tmp_path / "config.json"
-        write_default_config(path)
+        path.write_text(json.dumps({
+            "seed": 7,
+            "taxonomy": "corpus/taxonomy.json",
+            "datasets": {"train": "corpus/train.jsonl", "test": "corpus/test.jsonl"},
+            "bm25": {"k1": 1.5, "b": 0.9, "top_k": 7, "vote_threshold": 4},
+            "dense": {"window": 1500, "overlap": 300, "min_len": 100, "chi": 5},
+            "slora": {"feature_dim": 64, "rank": 8, "alpha": 0.9,
+                      "learning_rate": 5e-5, "batch_size": 8, "epochs": 5},
+            "meta": {"hidden1": 16, "hidden2": 8, "threshold": 0.5},
+            "detectors": [{"kind": "dense"}, {"kind": "bm25"}, {"kind": "slora"}],
+        }))
         config = load_config(path)
         assert config.seed == 7
         assert config.train_path.endswith("train.jsonl")
@@ -81,6 +110,54 @@ class TestLoadConfig:
         path.write_text("not json at all")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("payload", BAD_VALUES)
+    def test_bad_value_rejected_at_load(self, tmp_path, payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_integral_float_field_accepts_int(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"bm25": {"k1": 2}, "slora": {"patience": None}}))
+        assert load_config(path).bm25.k1 == 2
+
+
+class TestOverrides:
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        return str(path)
+
+    def _config(self, *argv):
+        return _config_with_overrides(build_parser().parse_args(list(argv)))
+
+    def test_fields_set(self, config_path):
+        config = self._config("detect", "--config", config_path, "--seed", "5", "--k", "3",
+                              "--vote-threshold", "2", "--threshold", "0.7",
+                              "--endpoint", "http://x/")
+        assert (config.seed, config.bm25.top_k, config.bm25.vote_threshold) == (5, 3, 2)
+        assert config.meta.threshold == 0.7
+        assert config.external.endpoint == "http://x/"
+        assert config.external.report_endpoint is None
+
+    def test_command_picks_field(self, config_path):
+        meta = self._config("train-meta", "--config", config_path, "--epochs", "9")
+        slora = self._config("train-slora", "--config", config_path, "--epochs", "9",
+                             "--alpha", "0.5", "--rank", "2")
+        report = self._config("report", "--config", config_path, "--endpoint", "http://r/")
+        assert (meta.meta.epochs, meta.slora.epochs) == (9, PipelineConfig().slora.epochs)
+        assert (slora.slora.epochs, slora.slora.alpha, slora.slora.rank) == (9, 0.5, 2)
+        assert report.external.report_endpoint == "http://r/"
+        assert report.external.endpoint is None
+
+    def test_unset_flags_keep_file_values(self, config_path):
+        config = self._config("build-index", "--config", config_path, "--k1", "2.0")
+        assert config.bm25.k1 == 2.0
+        assert config.bm25.b == PipelineConfig().bm25.b
+        assert config.seed == 0
 
 
 class TestSynth:
@@ -180,6 +257,22 @@ class TestCliFlow:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"bogus": True}))
         assert main(["ingest", "--config", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,section", [
+        ("build-index", {"bm25": {"k1": "x"}}),
+        ("build-index", {"dense": {"overlap": 2000}}),
+        ("train-slora", {"slora": {"epochs": 0}}),
+        ("train-meta", {"meta": {"lam": 1.0}}),
+    ])
+    def test_bad_value_exits_2(self, mini_project, tmp_path, capsys, command, section):
+        config = json.loads(Path(mini_project["config"]).read_text())
+        for name, block in section.items():
+            config[name] = {**config.get(name, {}), **block}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = main([command, "--config", str(bad), "--out", str(tmp_path / "work")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_artifact_exits_3(self, mini_project, tmp_path, capsys):
         code = main(["detect", "--config", mini_project["config"],

@@ -1,16 +1,14 @@
-import math
 import random
 
 import numpy as np
 import pytest
 
-from vulnfuse.corpus import Contract, LabelVector
+from vulnfuse.corpus import Contract, LabelVector, signed_bucket
 from vulnfuse.dense import (
     HashingEmbedder,
     SegmentationParams,
     VectorStore,
     build_store,
-    cosine,
     dense_retrieve,
     dense_vote,
     dynamic_threshold,
@@ -22,7 +20,6 @@ from vulnfuse.errors import (
     EmptyStore,
     InvalidParameter,
     NoFragments,
-    ZeroVector,
 )
 
 from conftest import make_dataset
@@ -128,32 +125,15 @@ class TestEmbed:
         e = HashingEmbedder()
         text_a = "alpha bravo charlie delta"
         text_b = "echo foxtrot golf hotel"
-        buckets_a = {e.bucket(g)[0] for g in e._grams(text_a)}
-        buckets_b = {e.bucket(g)[0] for g in e._grams(text_b)}
+        buckets_a = {signed_bucket(g, e.dim)[0] for g in e._grams(text_a)}
+        buckets_b = {signed_bucket(g, e.dim)[0] for g in e._grams(text_b)}
         assert not buckets_a & buckets_b, "constructed inputs collide; pick new tokens"
-        assert cosine(e.embed(text_a), e.embed(text_b)) == 0.0
+        # both embeddings are unit vectors, so the dot product is the cosine
+        assert np.dot(e.embed(text_a), e.embed(text_b)) == 0.0
 
     def test_short_text_embeddable(self):
         vec = HashingEmbedder().embed("one two")
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
-
-
-class TestCosine:
-    def test_identical(self):
-        v = np.array([0.3, 0.4, 0.5])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_45_degrees(self):
-        got = cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-        assert got == pytest.approx(0.70711, abs=1e-5)
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            cosine(np.zeros(3), np.ones(3))
 
 
 def store_dataset(taxonomy, n_contracts=4, length=3000):

@@ -74,4 +74,3 @@ class TestEvalSummary:
         metrics = summary.metrics_dict()
         assert "bm25" in metrics and "verified" in metrics
         assert "mean_seconds" not in str(metrics)
-        assert summary.timing_dict() == {"bm25": 0.001}

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from vulnfuse.corpus import Contract, LabelVector
@@ -8,7 +10,6 @@ from vulnfuse.report import (
     load_knowledge,
     load_prompt_template,
     render_report,
-    write_default_knowledge,
 )
 
 
@@ -69,7 +70,7 @@ class TestRender:
 
     def test_knowledge_file_roundtrip(self, tmp_path):
         path = tmp_path / "knowledge.json"
-        write_default_knowledge(path)
+        path.write_text(json.dumps(DEFAULT_KNOWLEDGE, indent=2, sort_keys=True))
         assert load_knowledge(path) == DEFAULT_KNOWLEDGE
 
 
