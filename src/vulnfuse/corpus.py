@@ -12,8 +12,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyContract, ParseError, SchemaError
 
@@ -70,11 +71,13 @@ class Dataset:
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.contracts)
 
+    @cached_property
+    def _by_id(self) -> dict[str, Contract]:
+        # reversed, so that the first of any repeated id wins, as in a scan
+        return {c.id: c for c in reversed(self.contracts)}
+
     def get(self, contract_id: str) -> Contract:
-        for c in self.contracts:
-            if c.id == contract_id:
-                return c
-        raise KeyError(contract_id)
+        return self._by_id[contract_id]
 
 
 # ---------------------------------------------------------------------------
@@ -100,62 +103,33 @@ def signed_bucket(text: str, dim: int, key: bytes = b"") -> tuple[int, float]:
 # preprocessing
 # ---------------------------------------------------------------------------
 
+# One pass over the source. `keep` spans code and string literals; a literal
+# ends at its closing quote, at a newline (unterminated) or at the end of the
+# text, and a backslash escapes the next character. A `//` comment runs to the
+# end of its line; a `/* */` comment runs to `*/` or the end of the text.
+_STRING = r"""(?P<q>["'])(?:\\[\s\S]|(?!(?P=q))[^\\\n])*(?:(?P=q)|\n|\\?\Z)"""
+_COMMENT_RE = re.compile(
+    r"""(?P<keep>(?:[^/"']+|/(?![/*])|""" + _STRING + r""")+)"""
+    r"""|//[^\n]*|/\*(?P<block>[\s\S]*?)(?:\*/|\Z)"""
+)
+
+
+def _uncomment(match: re.Match) -> str:
+    keep = match.group("keep")
+    if keep is not None:
+        return keep
+    # keep newlines so line structure survives block comments
+    return "\n" * (match.group("block") or "").count("\n")
+
+
 def strip_comments(raw: str) -> str:
     """Drop // and /* */ comments; string literals pass through untouched."""
-    out = []
-    i, n = 0, len(raw)
-    state = "code"  # code | line | block | string
-    quote = ""
-    while i < n:
-        ch = raw[i]
-        nxt = raw[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if ch == "/" and nxt == "/":
-                state = "line"
-                i += 2
-            elif ch == "/" and nxt == "*":
-                state = "block"
-                i += 2
-            elif ch in ("'", '"'):
-                state = "string"
-                quote = ch
-                out.append(ch)
-                i += 1
-            else:
-                out.append(ch)
-                i += 1
-        elif state == "line":
-            if ch == "\n":
-                state = "code"
-                out.append(ch)
-            i += 1
-        elif state == "block":
-            if ch == "*" and nxt == "/":
-                state = "code"
-                i += 2
-            else:
-                # keep newlines so line structure survives block comments
-                if ch == "\n":
-                    out.append(ch)
-                i += 1
-        else:  # string
-            if ch == "\\" and nxt:
-                out.append(ch)
-                out.append(nxt)
-                i += 2
-            elif ch == quote:
-                state = "code"
-                out.append(ch)
-                i += 1
-            elif ch == "\n":
-                # unterminated literal; don't swallow the rest of the file
-                state = "code"
-                out.append(ch)
-                i += 1
-            else:
-                out.append(ch)
-                i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_uncomment, raw)
+
+
+def _clean(text: str) -> str:
+    text = strip_comments(text)
+    return "\n".join(line for line in (raw.strip() for raw in text.split("\n")) if line)
 
 
 def preprocess(raw_source: str) -> str:
@@ -163,12 +137,19 @@ def preprocess(raw_source: str) -> str:
 
     Raises EmptyContract when nothing but noise remains. Idempotent.
     """
-    text = strip_comments(raw_source)
-    lines = [line.strip() for line in text.split("\n")]
-    lines = [line for line in lines if line]
-    if not lines:
+    text = _clean(raw_source)
+    # Dropping whitespace or blank lines after a backslash in a string literal
+    # can let the literal run on over a line that was code, which hides or
+    # exposes a comment. Clean again until nothing changes; each pass only
+    # removes characters, so the loop ends.
+    while "\\\n" in text:
+        again = _clean(text)
+        if again == text:
+            break
+        text = again
+    if not text:
         raise EmptyContract("contract source is empty after preprocessing")
-    return "\n".join(lines)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +165,8 @@ def load_taxonomy(path) -> tuple[str, ...]:
     return tuple(data)
 
 
-def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
-    """Read a line-delimited JSON dataset; preprocess and validate each record."""
-    taxonomy = tuple(taxonomy)
-    contracts = []
+def _records(path):
+    """(index, record) for each non-blank line; checks JSON, id/source and unique ids."""
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for index, line in enumerate(fh):
@@ -206,19 +185,27 @@ def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
             if cid in seen:
                 raise SchemaError(f"record {index}: duplicate contract id {cid!r}")
             seen.add(cid)
-            labels = None
-            if record.get("labels") is not None:
-                bits = record["labels"]
-                if len(bits) != len(taxonomy):
-                    raise SchemaError(
-                        f"record {index}: {len(bits)} labels for taxonomy of {len(taxonomy)}"
-                    )
-                labels = LabelVector(bits=tuple(int(b) for b in bits))
-            try:
-                source = preprocess(record["source"])
-            except EmptyContract as exc:
-                raise ParseError(f"record {index}: empty source after preprocessing", index) from exc
-            contracts.append(Contract(id=cid, source=source, labels=labels))
+            yield index, record
+
+
+def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
+    """Read a line-delimited JSON dataset; preprocess and validate each record."""
+    taxonomy = tuple(taxonomy)
+    contracts = []
+    for index, record in _records(path):
+        labels = None
+        if record.get("labels") is not None:
+            bits = record["labels"]
+            if len(bits) != len(taxonomy):
+                raise SchemaError(
+                    f"record {index}: {len(bits)} labels for taxonomy of {len(taxonomy)}"
+                )
+            labels = LabelVector(bits=tuple(int(b) for b in bits))
+        try:
+            source = preprocess(record["source"])
+        except EmptyContract as exc:
+            raise ParseError(f"record {index}: empty source after preprocessing", index) from exc
+        contracts.append(Contract(id=record["id"], source=source, labels=labels))
     return Dataset(
         contracts=tuple(contracts),
         taxonomy=taxonomy,
@@ -226,7 +213,12 @@ def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
     )
 
 
-def check_disjoint(train: Dataset, test: Dataset) -> None:
-    overlap = set(train.ids()) & set(test.ids())
+def read_ids(path) -> tuple[str, ...]:
+    """Contract ids of a dataset file, checked like `ingest` but not preprocessed."""
+    return tuple(record["id"] for _, record in _records(path))
+
+
+def check_disjoint(train_ids: Iterable[str], test_ids: Iterable[str]) -> None:
+    overlap = set(train_ids) & set(test_ids)
     if overlap:
         raise SchemaError(f"train/test splits share contract ids: {sorted(overlap)[:5]}")

@@ -43,6 +43,9 @@ class Detector:
     """Base detector: subclasses implement predict(contract) -> probabilities."""
 
     name = "detector"
+    # True for a detector whose predict mostly waits (on a network reply or a
+    # sleep) rather than computes; parallel_detect gives only these a thread.
+    waits = False
 
     def __init__(self, num_labels: int):
         self.num_labels = num_labels
@@ -60,6 +63,10 @@ class MockDetector(Detector):
         self._probs = np.asarray(probabilities, dtype=np.float64)
         self._delay = delay
         self._fail = fail
+
+    @property
+    def waits(self) -> bool:
+        return self._delay > 0
 
     def predict(self, contract):
         if self._delay:
@@ -120,6 +127,7 @@ class ExternalDetector(Detector):
     """Client for a remote detector speaking the JSON wire protocol."""
 
     name = "external"
+    waits = True
 
     def __init__(self, endpoint: str, taxonomy: Sequence[str], timeout: float = 30.0,
                  retries: int = 1, auth_header: Optional[str] = None, name: str = "external"):
@@ -184,12 +192,23 @@ def detect(detector: Detector, contract: Contract) -> DetectionResult:
 
 
 def parallel_detect(detectors: Sequence[Detector], contract: Contract) -> list[DetectionResult]:
-    """Invoke all detectors concurrently; results follow configuration order."""
+    """Run every detector on `contract`; results follow configuration order.
+
+    Detectors that wait run in pool threads, while the compute-bound ones run
+    in turn on the calling thread: under the interpreter lock, threads would
+    add only contention to their Python work.
+    """
     if not detectors:
         raise AllDetectorsFailed("no detectors configured")
+    results = [None] * len(detectors)
     with ThreadPoolExecutor(max_workers=len(detectors)) as pool:
-        futures = [pool.submit(detect, det, contract) for det in detectors]
-        results = [f.result() for f in futures]
+        waiting = {i: pool.submit(detect, det, contract)
+                   for i, det in enumerate(detectors) if det.waits}
+        for i, det in enumerate(detectors):
+            if i not in waiting:
+                results[i] = detect(det, contract)
+        for i, future in waiting.items():
+            results[i] = future.result()
     if all(r.status == "failed" for r in results):
         raise AllDetectorsFailed(
             f"every detector failed on contract {contract.id!r}: "

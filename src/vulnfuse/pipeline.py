@@ -20,7 +20,7 @@ from . import dense as dense_mod
 from . import meta as meta_mod
 from . import slora as slora_mod
 from .config import PipelineConfig
-from .corpus import Dataset, LabelVector, check_disjoint, ingest, load_taxonomy
+from .corpus import Dataset, LabelVector, check_disjoint, ingest, load_taxonomy, read_ids
 from .detectors import (
     Bm25Detector,
     DenseDetector,
@@ -63,15 +63,25 @@ def _require(workdir, name, producer: str) -> Path:
     return path
 
 
-def _load_datasets(config: PipelineConfig) -> tuple[Dataset, Dataset]:
+def _dataset_files(config: PipelineConfig) -> tuple[tuple[str, ...], dict]:
+    """The taxonomy and the dataset path of each split."""
     if not config.taxonomy_path or not config.train_path or not config.test_path:
         raise ConfigError("config must set taxonomy and datasets.train/datasets.test",
                           keys=["taxonomy", "datasets"])
-    taxonomy = load_taxonomy(config.taxonomy_path)
-    train = ingest(config.train_path, taxonomy, split="train")
-    test = ingest(config.test_path, taxonomy, split="test")
-    check_disjoint(train, test)
-    return train, test
+    return (load_taxonomy(config.taxonomy_path),
+            {"train": config.train_path, "test": config.test_path})
+
+
+def _load_split(config: PipelineConfig, split: str) -> Dataset:
+    """Ingest the split a stage reads; of the other split read only the ids.
+
+    Every stage still checks that the two splits share no contract id.
+    """
+    taxonomy, paths = _dataset_files(config)
+    (other,) = set(paths) - {split}
+    dataset = ingest(paths[split], taxonomy, split)
+    check_disjoint(dataset.ids(), read_ids(paths[other]))
+    return dataset
 
 
 def _segmentation(config: PipelineConfig) -> dense_mod.SegmentationParams:
@@ -112,7 +122,10 @@ def meta_holdout_split(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 
 def stage_ingest(config: PipelineConfig) -> dict:
-    train, test = _load_datasets(config)
+    taxonomy, paths = _dataset_files(config)
+    train = ingest(paths["train"], taxonomy, "train")
+    test = ingest(paths["test"], taxonomy, "test")
+    check_disjoint(train.ids(), test.ids())
     return {
         "taxonomy": list(train.taxonomy),
         "train_contracts": len(train),
@@ -121,7 +134,7 @@ def stage_ingest(config: PipelineConfig) -> dict:
 
 
 def stage_build_index(config: PipelineConfig, workdir) -> dict:
-    train, _ = _load_datasets(config)
+    train = _load_split(config, "train")
     base, _ = meta_holdout_split(train, config.seed)
     Path(workdir).mkdir(parents=True, exist_ok=True)
     index = bm25_mod.build_bm25(base, k1=config.bm25.k1, b=config.bm25.b,
@@ -135,7 +148,7 @@ def stage_build_index(config: PipelineConfig, workdir) -> dict:
 
 
 def stage_train_slora(config: PipelineConfig, workdir) -> dict:
-    train, _ = _load_datasets(config)
+    train = _load_split(config, "train")
     base, _ = meta_holdout_split(train, config.seed)
     Path(workdir).mkdir(parents=True, exist_ok=True)
     extractor = slora_mod.HashedFeatureExtractor(config.slora.feature_dim, seed=config.seed)
@@ -215,7 +228,7 @@ def build_detectors(config: PipelineConfig, taxonomy, workdir) -> list:
 
 
 def stage_train_meta(config: PipelineConfig, workdir) -> dict:
-    train, _ = _load_datasets(config)
+    train = _load_split(config, "train")
     _, holdout = meta_holdout_split(train, config.seed)
     Path(workdir).mkdir(parents=True, exist_ok=True)
     detectors = build_detectors(config, train.taxonomy, workdir)
@@ -240,7 +253,7 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
 
 
 def stage_detect(config: PipelineConfig, workdir) -> dict:
-    _, test = _load_datasets(config)
+    test = _load_split(config, "test")
     detectors = build_detectors(config, test.taxonomy, workdir)
     learner, threshold = meta_mod.load_meta(_require(workdir, "meta_ckpt", "train-meta"))
     lines = []
@@ -279,7 +292,7 @@ def _read_results(workdir) -> list[dict]:
 
 
 def stage_evaluate(config: PipelineConfig, workdir) -> EvalSummary:
-    _, test = _load_datasets(config)
+    test = _load_split(config, "test")
     records = _read_results(workdir)
     truth_by_id = {c.id: c.labels for c in test if c.labels is not None}
     summary = EvalSummary()
@@ -318,7 +331,7 @@ def stage_evaluate(config: PipelineConfig, workdir) -> EvalSummary:
 
 
 def stage_report(config: PipelineConfig, workdir, contract_id=None) -> list[str]:
-    _, test = _load_datasets(config)
+    test = _load_split(config, "test")
     records = _read_results(workdir)
     knowledge = load_knowledge(config.knowledge_path) if config.knowledge_path else None
     template = (load_prompt_template(config.prompt_template_path)

@@ -43,7 +43,7 @@ from vulnfuse.slora import (
 )
 from vulnfuse.synth import write_corpus
 
-from test_bm25 import oracle_score, random_corpus
+from test_bm25 import oracle_idf, oracle_score, random_corpus
 from test_dense import text_of_length
 from test_slora import fd_gradient, relative_error, spaced_sparse_matrix
 from conftest import make_dataset
@@ -204,12 +204,13 @@ def test_criterion_06_bm25_oracle(taxonomy5):
     ds = make_dataset([(d, [0] * 5) for d in docs], taxonomy5)
     index = build_bm25(ds, keywords=())
     token_docs = [tokenize(d, keywords=()) for d in docs]
+    idf = {term: oracle_idf(term, token_docs) for term in set().union(*token_docs)}
     worst = 0.0
     for qi in range(100):
         query = token_docs[qi]
         scores = index.score_all(query)
         oracle = np.array([
-            oracle_score(query, token_docs[di], token_docs, index.k1, index.b)
+            oracle_score(query, token_docs[di], token_docs, index.k1, index.b, idf)
             for di in range(100)
         ])
         worst = max(worst, float(np.abs(scores - oracle).max()))

@@ -26,7 +26,8 @@ def oracle_idf(term, token_docs):
     containing = sum(1 for doc in token_docs if term in doc)
     return math.log((n_docs - containing + 0.5) / (containing + 0.5) + 1.0)
 
-def oracle_score(query_tokens, doc_tokens, token_docs, k1, b):
+def oracle_score(query_tokens, doc_tokens, token_docs, k1, b, idf=None):
+    """Brute-force BM25; `idf` maps terms to precomputed `oracle_idf` values."""
     avg = sum(len(d) for d in token_docs) / len(token_docs)
     total = 0.0
     for term in query_tokens:
@@ -34,7 +35,8 @@ def oracle_score(query_tokens, doc_tokens, token_docs, k1, b):
         if freq == 0:
             continue
         norm = k1 * (1.0 - b + b * len(doc_tokens) / avg)
-        total += oracle_idf(term, token_docs) * (k1 + 1.0) * freq / (norm + freq)
+        term_idf = idf[term] if idf is not None else oracle_idf(term, token_docs)
+        total += term_idf * (k1 + 1.0) * freq / (norm + freq)
     return total
 
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vulnfuse.corpus import (
     Contract,
@@ -10,8 +12,99 @@ from vulnfuse.corpus import (
     ingest,
     load_taxonomy,
     preprocess,
+    read_ids,
+    strip_comments,
 )
 from vulnfuse.errors import EmptyContract, ParseError, SchemaError
+
+
+def oracle_strip_comments(raw):
+    """Character-at-a-time state machine that `strip_comments` must equal."""
+    out = []
+    i, n = 0, len(raw)
+    state = "code"  # code | line | block | string
+    quote = ""
+    while i < n:
+        ch = raw[i]
+        nxt = raw[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if ch == "/" and nxt == "/":
+                state = "line"
+                i += 2
+            elif ch == "/" and nxt == "*":
+                state = "block"
+                i += 2
+            elif ch in ("'", '"'):
+                state = "string"
+                quote = ch
+                out.append(ch)
+                i += 1
+            else:
+                out.append(ch)
+                i += 1
+        elif state == "line":
+            if ch == "\n":
+                state = "code"
+                out.append(ch)
+            i += 1
+        elif state == "block":
+            if ch == "*" and nxt == "/":
+                state = "code"
+                i += 2
+            else:
+                if ch == "\n":
+                    out.append(ch)
+                i += 1
+        else:  # string
+            if ch == "\\" and nxt:
+                out.append(ch)
+                out.append(nxt)
+                i += 2
+            elif ch == quote:
+                state = "code"
+                out.append(ch)
+                i += 1
+            elif ch == "\n":
+                state = "code"
+                out.append(ch)
+                i += 1
+            else:
+                out.append(ch)
+                i += 1
+    return "".join(out)
+
+
+# the characters that steer comment and literal boundaries, plus filler
+SOURCE_TEXT = st.text(alphabet="/*\"'\\\nax ", max_size=40)
+
+
+class TestStripCommentsProperties:
+    @settings(max_examples=2000, deadline=None)
+    @given(SOURCE_TEXT)
+    @example('"a \\" b // c" /* d\n*/ e // f\n\'/*\'')
+    @example("/*/ x */ '\\")
+    def test_matches_state_machine(self, raw):
+        assert strip_comments(raw) == oracle_strip_comments(raw)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(SOURCE_TEXT)
+    @example('"\\ \n"//"')
+    @example('"a\\\n\nb"//x"')
+    def test_preprocess_idempotent(self, raw):
+        try:
+            once = preprocess(raw)
+        except EmptyContract:
+            return
+        assert preprocess(once) == once
+
+    @settings(max_examples=500, deadline=None)
+    @given(quote=st.sampled_from("\"'"),
+           before=st.text(alphabet="/*ax ", max_size=10),
+           marker=st.sampled_from(["//", "/*", "*/"]),
+           after=st.text(alphabet="/*ax ", max_size=10))
+    def test_comment_markers_in_literals_kept(self, quote, before, marker, after):
+        src = f"s = {quote}{before}{marker}{after}{quote};"
+        assert preprocess(src) == src
 
 
 class TestPreprocess:
@@ -59,6 +152,27 @@ class TestPreprocess:
     def test_idempotent(self, src):
         once = preprocess(src)
         assert preprocess(once) == once
+
+
+class TestReadIds:
+    def test_ids_in_file_order_without_preprocessing(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"id": "b", "source": "// only a comment"}\n\n'
+                        '{"id": "a", "source": "x;"}\n')
+        assert read_ids(data) == ("b", "a")
+
+    def test_malformed_line_reports_index(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"id": "a", "source": "x;"}\n{"id": "b"}\n')
+        with pytest.raises(ParseError) as err:
+            read_ids(data)
+        assert err.value.record_index == 1
+
+    def test_duplicate_id(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"id": "a", "source": "x;"}\n{"id": "a", "source": "y;"}\n')
+        with pytest.raises(SchemaError):
+            read_ids(data)
 
 
 class TestLabelVector:
@@ -152,7 +266,14 @@ class TestDataset:
         a = Dataset((Contract("x", "a;"),), taxonomy5, {"x": "train"})
         b = Dataset((Contract("x", "b;"),), taxonomy5, {"x": "test"})
         with pytest.raises(SchemaError):
-            check_disjoint(a, b)
+            check_disjoint(a.ids(), b.ids())
+
+    def test_get_by_id(self, taxonomy5):
+        contracts = tuple(Contract(f"c{i}", f"s{i};") for i in range(5))
+        ds = Dataset(contracts, taxonomy5)
+        assert [ds.get(f"c{i}") for i in (3, 0, 4)] == [contracts[3], contracts[0], contracts[4]]
+        with pytest.raises(KeyError):
+            ds.get("missing")
 
     def test_taxonomy_rejects_duplicates(self, tmp_path):
         tax = tmp_path / "t.json"

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from vulnfuse.dense import build_store
 from vulnfuse.detectors import (
     Bm25Detector,
     DenseDetector,
+    Detector,
     ExternalDetector,
     MockDetector,
     SloraDetector,
@@ -159,3 +161,39 @@ class TestParallel:
     def test_no_detectors_raises(self):
         with pytest.raises(AllDetectorsFailed):
             parallel_detect([], Contract(id="c", source="x;"))
+
+
+class Busy(Detector):
+    """Compute-bound stand-in: holds its thread for `seconds`, records which."""
+
+    name = "busy"
+
+    def __init__(self, seconds=0.0):
+        super().__init__(num_labels=1)
+        self.seconds = seconds
+        self.thread = None
+
+    def predict(self, contract):
+        self.thread = threading.get_ident()
+        time.sleep(self.seconds)
+        return np.array([0.5])
+
+
+class TestInlineDispatch:
+    def test_waiting_detectors_marked(self, taxonomy5):
+        assert ExternalDetector("http://127.0.0.1:9/", taxonomy5).waits
+        assert MockDetector([0.5], delay=0.1).waits
+        assert not MockDetector([0.5]).waits
+        assert not Busy().waits
+
+    def test_compute_bound_detector_on_calling_thread(self):
+        busy = Busy()
+        parallel_detect([MockDetector([0.5], delay=0.01), busy], Contract(id="c", source="x;"))
+        assert busy.thread == threading.get_ident()
+
+    def test_wait_overlaps_local_work(self):
+        detectors = [Busy(seconds=0.1), MockDetector([0.5], name="remote", delay=0.1)]
+        start = time.perf_counter()
+        results = parallel_detect(detectors, Contract(id="c", source="x;"))
+        assert time.perf_counter() - start < 0.18
+        assert [r.detector_name for r in results] == ["busy", "remote"]
