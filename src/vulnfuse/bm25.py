@@ -9,14 +9,16 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Contract, Dataset, LabelVector, word_tokens
+from .corpus import TOKEN_RE, Contract, Dataset, LabelVector, word_tokens
 from .errors import EmptyCorpus, InvalidParameter
 
 DEFAULT_K1 = 1.5
@@ -39,26 +41,53 @@ DEFAULT_KEYWORDS = (
 )
 
 
-def _keyword_pattern(keyword: str) -> re.Pattern:
-    return re.compile(r"(?<![a-z0-9])" + re.escape(keyword.lower()) + r"(?![a-z0-9])")
-
-
-def _collapse_runs(tokens: list[str]) -> list[str]:
-    out = []
-    for tok in tokens:
-        if not out or out[-1] != tok:
-            out.append(tok)
-    return out
-
-
 def tokenize(source: str, keywords: Sequence[str] = DEFAULT_KEYWORDS) -> list[str]:
     """Lowercase, split on non-alphanumerics, append keyword matches, collapse runs."""
     lower = source.lower()
     tokens = word_tokens(lower)
+    words = Counter(tokens)
     for keyword in keywords:
-        count = len(_keyword_pattern(keyword).findall(lower))
-        tokens.extend([keyword.lower()] * count)
-    return _collapse_runs(tokens)
+        keyword = keyword.lower()
+        if TOKEN_RE.fullmatch(keyword):
+            # a bounded match of an alphanumeric keyword is exactly a word
+            # token equal to it
+            count = words[keyword]
+        elif keyword in lower:
+            bounded = r"(?<![a-z0-9])" + re.escape(keyword) + r"(?![a-z0-9])"
+            count = len(re.findall(bounded, lower))
+        else:
+            count = 0
+        tokens.extend([keyword] * count)
+    return [tok for tok, _ in groupby(tokens)]
+
+
+class RowOrder:
+    """Rows in ascending key order, equal keys by row; one group's rows are a run.
+
+    Retrieval breaks score ties by this order and skips the query's own rows.
+    `group(key)` must sort like the key, as a prefix of it does.
+    """
+
+    def __init__(self, keys: Sequence, group=lambda key: key):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._order = np.array(order, dtype=np.int64)
+        self._rank = np.empty_like(self._order)
+        self._rank[self._order] = np.arange(len(order))
+        self._groups = [group(keys[i]) for i in order]
+
+    def top(self, scores: np.ndarray, k: int, exclude) -> np.ndarray:
+        """Rows of the k best scores outside group `exclude`, by descending score
+        and then this order. Overwrites the excluded rows of `scores`."""
+        own = self._order[bisect_left(self._groups, exclude):
+                          bisect_right(self._groups, exclude)]
+        scores[own] = -np.inf  # sorts last, and the cut to k drops it
+        k = min(k, len(scores) - len(own))
+        pick = np.arange(len(scores))
+        if 0 < k < len(scores):
+            # every row tied with the k-th best score stays in for the tie-break
+            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+            pick = np.flatnonzero(scores >= kth)
+        return pick[np.lexsort((self._rank[pick], -scores[pick]))[:k]]
 
 
 @dataclass(frozen=True)
@@ -91,25 +120,26 @@ class Bm25Index:
         for tf in self.term_freqs:
             self.doc_freq.update(tf.keys())
         self._build_postings()
+        self._row_order = RowOrder(self.ids)
         # per-doc length-normalization denominator k1*(1 - b + b*l_D/l_avg)
         self._norms = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avg_len)
 
     def _build_postings(self):
         vocab = {term: tid for tid, term in enumerate(sorted(self.doc_freq))}
-        entries = [[] for _ in vocab]
-        for doc_idx, tf in enumerate(self.term_freqs):
-            for term, count in tf.items():
-                entries[vocab[term]].append((doc_idx, count))
-        docs, counts, indptr = [], [], [0]
-        for per_term in entries:
-            per_term.sort()
-            docs.extend(d for d, _ in per_term)
-            counts.extend(c for _, c in per_term)
-            indptr.append(len(docs))
+        sizes = [len(tf) for tf in self.term_freqs]
+        total = sum(sizes)
+        terms = np.fromiter((vocab[t] for tf in self.term_freqs for t in tf),
+                            dtype=np.int64, count=total)
+        counts = np.fromiter((c for tf in self.term_freqs for c in tf.values()),
+                             dtype=np.float64, count=total)
+        docs = np.repeat(np.arange(self.N, dtype=np.int64), sizes)
+        # CSR by term, each term's documents ascending
+        order = np.lexsort((docs, terms))
         self.vocab = vocab
-        self._post_docs = np.array(docs, dtype=np.int64)
-        self._post_counts = np.array(counts, dtype=np.float64)
-        self._post_indptr = np.array(indptr, dtype=np.int64)
+        self._post_docs = docs[order]
+        self._post_counts = counts[order]
+        self._post_indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(terms, minlength=len(vocab)), out=self._post_indptr[1:])
 
     # -- scoring ------------------------------------------------------------
 
@@ -178,11 +208,10 @@ def bm25_retrieve(query: Contract, index: Bm25Index, k: int = DEFAULT_TOP_K) -> 
     if k <= 0:
         raise InvalidParameter(f"top-k must be positive, got {k}")
     scores = index.score_all(tokenize(query.source, index.keywords))
-    candidates = [i for i in range(index.N) if index.ids[i] != query.id]
-    candidates.sort(key=lambda i: (-scores[i], index.ids[i]))
+    rows = index._row_order.top(scores, k, exclude=query.id)
     return [
         RetrievalHit(contract_id=index.ids[i], score=float(scores[i]), labels=index.labels[i])
-        for i in candidates[:k]
+        for i in rows.tolist()
     ]
 
 

@@ -127,7 +127,8 @@ def load_config(path) -> PipelineConfig:
         annotations = {f.name: f.type for f in fields(target)}
         for key, value in block.items():
             numeric = _NUMERIC_TYPES.get(annotations.get(key))
-            if key not in annotations or (numeric and not _is_type(value, numeric)):
+            if (key not in annotations or (numeric and not _is_type(value, numeric))
+                    or (key == "keywords" and not _is_keyword_list(value))):
                 offending.append(f"{section}.{key}")
                 continue
             if key == "keywords":
@@ -153,6 +154,10 @@ def load_config(path) -> PipelineConfig:
 def _is_type(value, types) -> bool:
     # JSON true/false load as bool, which Python counts as int
     return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _is_keyword_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(k, str) and k for k in value)
 
 
 def _check_ranges(config: PipelineConfig) -> None:

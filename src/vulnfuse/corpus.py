@@ -84,12 +84,12 @@ class Dataset:
 # tokens and feature hashing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def word_tokens(text: str) -> list[str]:
     """Lowercased alphanumeric runs of `text`."""
-    return _TOKEN_RE.findall(text.lower())
+    return TOKEN_RE.findall(text.lower())
 
 
 def signed_bucket(text: str, dim: int, key: bytes = b"") -> tuple[int, float]:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bm25 import RetrievalHit, threshold_vote
+from .bm25 import RetrievalHit, RowOrder, threshold_vote
 from .corpus import Contract, Dataset, LabelVector, signed_bucket, word_tokens
 from .errors import EmptyFragment, EmptyStore, InvalidParameter, NoFragments
 
@@ -133,6 +133,8 @@ class VectorStore:
         self.vectors = vectors
         self.metadata = metadata
         self.dim = dim
+        self._row_order = RowOrder([(m.parent_id, m.frag_index) for m in metadata],
+                                   group=lambda key: key[0])
 
     def __len__(self):
         return self.vectors.shape[0]
@@ -186,16 +188,11 @@ def dense_retrieve(query: Contract, store: VectorStore,
     fragments = segment(query.source, params)
     if not fragments:
         raise NoFragments(f"query {query.id!r} yields no fragments")
-    candidates = [i for i, m in enumerate(store.metadata) if m.parent_id != query.id]
     hits = []
     for frag in fragments:
         q = embedder.embed(frag.text)
         scores = store.vectors @ q
-        ranked = sorted(
-            candidates,
-            key=lambda i: (-scores[i], store.metadata[i].parent_id, store.metadata[i].frag_index),
-        )
-        for i in ranked[:params.chi]:
+        for i in store._row_order.top(scores, params.chi, exclude=query.id).tolist():
             meta = store.metadata[i]
             hits.append(RetrievalHit(
                 contract_id=meta.parent_id,

@@ -166,6 +166,8 @@ class ExternalDetector(Detector):
             try:
                 return self._request_once(contract)
             except (urllib.error.URLError, TimeoutError, OSError, ValueError, SchemaError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # it holds the response and its open socket
                 last = exc
         raise last
 

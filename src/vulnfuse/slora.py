@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -290,10 +291,13 @@ class HashedFeatureExtractor:
         self._key = (seed % (1 << 64)).to_bytes(8, "big")
 
     def extract(self, source: str) -> np.ndarray:
+        # each distinct token is hashed once; integer sums are exact in any order
+        counts = Counter(word_tokens(source))
         vec = np.zeros(self.dim)
-        for token in word_tokens(source):
-            idx, sign = signed_bucket(token, self.dim, self._key)
-            vec[idx] += sign
+        if counts:
+            idx, signs = zip(*(signed_bucket(t, self.dim, self._key) for t in counts))
+            vec = np.bincount(idx, weights=np.multiply(signs, list(counts.values())),
+                              minlength=self.dim)
         norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 

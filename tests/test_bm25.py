@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vulnfuse.bm25 import (
     Bm25Index,
@@ -260,3 +262,39 @@ class TestPersistence:
         assert loaded.doc_freq == index.doc_freq
         query = tokenize(docs[3])
         assert np.array_equal(loaded.score_all(query), index.score_all(query))
+
+
+def oracle_retrieve(query, index, k):
+    """Every other document sorted by (-score, id), cut to k."""
+    scores = index.score_all(tokenize(query.source, index.keywords))
+    ranked = sorted((i for i in range(index.N) if index.ids[i] != query.id),
+                    key=lambda i: (-scores[i], index.ids[i]))
+    return [(index.ids[i], float(scores[i]), index.labels[i]) for i in ranked[:k]]
+
+
+class TestRetrieveProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        distinct=st.lists(st.lists(st.sampled_from(["a", "b", "c", "call"]), max_size=6),
+                          min_size=1, max_size=6).filter(any),
+        copies=st.lists(st.integers(1, 3), min_size=6, max_size=6),
+        ids=st.lists(st.text("xyz01", min_size=1, max_size=3), min_size=18, max_size=18,
+                     unique=True),
+        query=st.lists(st.sampled_from(["a", "b", "c", "call", "unseen"]), max_size=6),
+        own=st.integers(0, 18),
+        k=st.integers(0, 19),
+    )
+    @example(distinct=[["a"]], copies=[3] * 6, ids=[f"i{j:02d}" for j in range(18)],
+             query=["a"], own=1, k=1)
+    def test_matches_brute_force_sort(self, distinct, copies, ids, query, own, k):
+        # repeated documents tie exactly, also at the k-th place
+        docs = [doc for doc, n in zip(distinct, copies) for _ in range(n)]
+        ids = ids[:len(docs)]
+        labels = [LabelVector(bits=(i % 2,)) for i in range(len(docs))]
+        index = Bm25Index(docs, ids, labels)
+        # the query is one of the indexed documents, or a new id
+        own %= len(docs) + 1
+        contract = Contract(id=ids[own] if own < len(docs) else "query", source=" ".join(query))
+        k = 1 + k % (len(docs) + 2)
+        got = [(h.contract_id, h.score, h.labels) for h in bm25_retrieve(contract, index, k)]
+        assert got == oracle_retrieve(contract, index, k)

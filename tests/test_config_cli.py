@@ -56,6 +56,10 @@ BAD_VALUES = [
     {"meta": {"epochs": True}},
     {"meta": {"lam": 1.0}},   # removed key
     {"seed": "7"},
+    {"bm25": {"keywords": "call"}},   # a string, not a list of strings
+    {"bm25": {"keywords": [1]}},
+    {"bm25": {"keywords": [""]}},
+    {"bm25": {"keywords": ["call", None]}},
 ]
 
 

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vulnfuse.corpus import Contract, LabelVector, signed_bucket
+from vulnfuse.corpus import Contract, Dataset, LabelVector, signed_bucket
 from vulnfuse.dense import (
     HashingEmbedder,
     SegmentationParams,
@@ -238,6 +240,57 @@ class TestRetrieve:
             got = [h.contract_id for h in hits[offset:offset + params.chi]]
             assert got == want
             offset += params.chi
+
+
+def oracle_dense_retrieve(query, store, params, embedder):
+    """Per query fragment, every foreign row sorted by (-score, parent, fragment)."""
+    hits = []
+    for frag in segment(query.source, params):
+        scores = store.vectors @ embedder.embed(frag.text)
+        meta = store.metadata
+        ranked = sorted((i for i, m in enumerate(meta) if m.parent_id != query.id),
+                        key=lambda i: (-scores[i], meta[i].parent_id, meta[i].frag_index))
+        hits += [(meta[i].parent_id, float(scores[i]), meta[i].labels)
+                 for i in ranked[:params.chi]]
+    return hits
+
+
+# sources of 1 to 4 fragments at window 120; the second shares a prefix with the first
+SOURCE_POOL = (
+    text_of_length(300, 1),
+    text_of_length(300, 1)[:150] + " " + text_of_length(200, 2),
+    text_of_length(120, 3),
+    text_of_length(400, 4),
+)
+
+
+class TestRetrieveProperties:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        picks=st.lists(st.integers(0, len(SOURCE_POOL) - 1), min_size=1, max_size=8),
+        ids=st.lists(st.text("pq9", min_size=1, max_size=3), min_size=8, max_size=8,
+                     unique=True),
+        query_pick=st.integers(0, len(SOURCE_POOL) - 1),
+        own=st.integers(0, 8),
+        chi=st.integers(1, 8),
+    )
+    @example(picks=[0, 0, 0, 0], ids=["q", "p", "pp", "9", "q9", "p9", "9q", "qq"],
+             query_pick=0, own=4, chi=2)
+    def test_matches_brute_force_sort(self, picks, ids, query_pick, own, chi):
+        # one source under several ids gives rows that tie exactly, also at chi
+        contracts = tuple(
+            Contract(id=ids[j], source=SOURCE_POOL[pick],
+                     labels=LabelVector(bits=tuple(int(b == j % 3) for b in range(3))))
+            for j, pick in enumerate(picks))
+        params = SegmentationParams(window=120, overlap=30, min_len=40, chi=chi)
+        store = build_store(Dataset(contracts, ("a", "b", "c")), params)
+        embedder = HashingEmbedder(store.dim)
+        own %= len(picks) + 1
+        query = Contract(id=ids[own] if own < len(picks) else "query",
+                         source=SOURCE_POOL[query_pick])
+        got = [(h.contract_id, h.score, h.labels)
+               for h in dense_retrieve(query, store, params, embedder)]
+        assert got == oracle_dense_retrieve(query, store, params, embedder)
 
 
 class TestThresholdAndVote:

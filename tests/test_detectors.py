@@ -1,5 +1,7 @@
+import gc
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +120,18 @@ class TestExternal:
             result = detect(detector, Contract(id="c", source="x;"))
         assert result.status == "ok"
         assert len(calls) == 2
+
+    def test_retried_http_errors_are_closed(self, taxonomy5, mock_endpoint):
+        # an HTTPError holds the open response; dropped unclosed, it leaks a socket
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with mock_endpoint(lambda body: (503, {"error": "busy"})) as ep:
+                detector = ExternalDetector(ep.url, taxonomy5, timeout=5.0, retries=1)
+                result = detect(detector, Contract(id="c", source="x;"))
+            gc.collect()
+        assert result.status == "failed"
+        assert len(ep.requests) == 2
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_auth_header_forwarded(self, taxonomy5, mock_endpoint):
         with mock_endpoint(lambda body: (200, {"probabilities": [0.0] * 5})) as ep:

@@ -1,10 +1,12 @@
-"""Hot numeric paths against naive oracles written out in the tests.
+"""Hot paths against naive oracles written out in the tests.
 
-Covers BM25 postings scoring, adapter mask selection and the masked sparse
-matmul. Each oracle is the slow, obvious formulation of the same quantity.
+Covers BM25 tokenization, postings construction and scoring, hashed adapter
+features, adapter mask selection and the masked sparse matmul. Each oracle is
+the slow, obvious formulation of the same quantity.
 """
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -13,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vulnfuse.bm25 import Bm25Index
-from vulnfuse.corpus import LabelVector
-from vulnfuse.slora import sparse_forward, sparsify
+from vulnfuse.bm25 import DEFAULT_KEYWORDS, Bm25Index, tokenize
+from vulnfuse.corpus import LabelVector, signed_bucket, word_tokens
+from vulnfuse.slora import HashedFeatureExtractor, sparse_forward, sparsify
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 
@@ -37,6 +39,52 @@ def per_term_oracle(query, docs, k1, b):
     return scores
 
 
+def oracle_tokenize(source, keywords):
+    """Word tokens, then each keyword's bounded regex matches, then runs collapsed."""
+    lower = source.lower()
+    tokens = word_tokens(lower)
+    for keyword in keywords:
+        pattern = re.compile(r"(?<![a-z0-9])" + re.escape(keyword.lower()) + r"(?![a-z0-9])")
+        tokens.extend([keyword.lower()] * len(pattern.findall(lower)))
+    out = []
+    for tok in tokens:
+        if not out or out[-1] != tok:
+            out.append(tok)
+    return out
+
+
+def oracle_extract(extractor, source):
+    """Hashed features accumulated one token at a time."""
+    vec = np.zeros(extractor.dim)
+    for token in word_tokens(source):
+        idx, sign = signed_bucket(token, extractor.dim, extractor._key)
+        vec[idx] += sign
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+def oracle_postings(docs):
+    """CSR postings built from one sorted Python list per term."""
+    tfs = [Counter(d) for d in docs]
+    vocab = {term: tid for tid, term in enumerate(sorted({t for d in docs for t in d}))}
+    entries = [[] for _ in vocab]
+    for doc_idx, tf in enumerate(tfs):
+        for term, count in tf.items():
+            entries[vocab[term]].append((doc_idx, count))
+    post_docs, counts, indptr = [], [], [0]
+    for per_term in entries:
+        per_term.sort()
+        post_docs.extend(d for d, _ in per_term)
+        counts.extend(c for _, c in per_term)
+        indptr.append(len(post_docs))
+    return (vocab, np.array(post_docs, dtype=np.int64), np.array(counts, dtype=np.float64),
+            np.array(indptr, dtype=np.int64))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def stable_argsort_mask(s, k):
     """k largest |S| entries, ties by row-major position."""
     mask = np.zeros(s.size, dtype=np.uint8)
@@ -53,6 +101,13 @@ def scatter_oracle(x, s, mask):
 
 
 VOCAB = [f"t{i}" for i in range(12)]
+# upper case, digits, dots and a dotted keyword's prefix on its own
+SOURCE_TEXT = st.text(alphabet="aAcClLtTxXoOrRiIgGn019._( )\n\u0130", max_size=60)
+KEYWORDS = st.lists(
+    st.sampled_from(DEFAULT_KEYWORDS + ("CALL", "Call", "tx", "TX", "tx.origin",
+                                        "Tx.Origin", "origin", "x", "0", "a.b", "")),
+    max_size=8,
+)
 tied_values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 tied_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=tied_values))
@@ -102,3 +157,31 @@ class TestKernelEquivalence:
         assert k == math.floor((1 - Fraction(alpha)) * s.size)
         assert mask.dtype == np.uint8
         assert np.array_equal(mask, stable_argsort_mask(s, k))
+
+
+class TestRewrittenLoops:
+    @PROPERTY
+    @given(source=SOURCE_TEXT, keywords=KEYWORDS)
+    @example(source="tx.origin tx TX.ORIGIN call Call delegatecall", keywords=["tx", "tx.origin"])
+    @example(source="call call.call", keywords=["call", "CALL", "call"])
+    def test_tokenize_matches_per_keyword_regex(self, source, keywords):
+        assert tokenize(source, keywords) == oracle_tokenize(source, keywords)
+
+    @PROPERTY
+    @given(source=SOURCE_TEXT, dim=st.integers(1, 64), seed=st.integers(0, 2**64 - 1))
+    @example(source="a a A b", dim=1, seed=0)
+    def test_extract_matches_per_token_loop(self, source, dim, seed):
+        extractor = HashedFeatureExtractor(dim=dim, seed=seed)
+        assert same_bits(extractor.extract(source), oracle_extract(extractor, source))
+
+    @PROPERTY
+    @given(docs=st.lists(st.lists(st.sampled_from(VOCAB), max_size=15),
+                         min_size=1, max_size=12).filter(any))
+    def test_postings_match_per_term_lists(self, docs):
+        labels = [LabelVector(bits=(0,))] * len(docs)
+        index = Bm25Index(docs, [f"d{i}" for i in range(len(docs))], labels)
+        vocab, post_docs, counts, indptr = oracle_postings(docs)
+        assert index.vocab == vocab
+        assert same_bits(index._post_docs, post_docs)
+        assert same_bits(index._post_counts, counts)
+        assert same_bits(index._post_indptr, indptr)
