@@ -88,7 +88,11 @@ _TOP_KEYS = {"taxonomy", "datasets", "knowledge", "prompt_template", "seed",
 # JSON value types accepted for the numeric fields, by field annotation
 _NUMERIC_TYPES = {"int": int, "float": (int, float), "Optional[int]": (int, type(None))}
 
-_DETECTOR_KINDS = {"slora", "bm25", "dense", "external", "mock"}
+# the keys a detector spec of each kind may set
+_DETECTOR_KEYS = {
+    "slora": {"kind"}, "bm25": {"kind"}, "dense": {"kind"}, "external": {"kind"},
+    "mock": {"kind", "probabilities", "name", "delay", "fail"},
+}
 
 
 def load_config(path) -> PipelineConfig:
@@ -145,8 +149,12 @@ def load_config(path) -> PipelineConfig:
             raise ConfigError("'detectors' must be a non-empty list", keys=["detectors"])
         for spec in detectors:
             kind = spec.get("kind") if isinstance(spec, dict) else None
-            if kind not in _DETECTOR_KINDS:
+            if kind not in _DETECTOR_KEYS:
                 raise ConfigError(f"unknown detector kind {kind!r}", keys=["detectors"])
+            bad = sorted(set(spec) - _DETECTOR_KEYS[kind])
+            if bad:
+                raise ConfigError(f"{kind} detector spec sets unknown keys {bad}",
+                                  keys=["detectors"])
         config.detectors = tuple(detectors)
     return config
 

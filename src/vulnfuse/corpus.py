@@ -35,9 +35,6 @@ class LabelVector:
     def __iter__(self):
         return iter(self.bits)
 
-    def count(self) -> int:
-        return sum(self.bits)
-
     def names(self, taxonomy: Sequence[str]) -> tuple[str, ...]:
         return tuple(name for name, bit in zip(taxonomy, self.bits) if bit)
 
@@ -188,19 +185,22 @@ def _records(path):
             yield index, record
 
 
+def _labels(index: int, record: dict, taxonomy: Sequence[str]) -> Optional[LabelVector]:
+    """The record's label vector, checked against the taxonomy; None if unlabeled."""
+    bits = record.get("labels")
+    if bits is None:
+        return None
+    if len(bits) != len(taxonomy):
+        raise SchemaError(f"record {index}: {len(bits)} labels for taxonomy of {len(taxonomy)}")
+    return LabelVector(bits=tuple(int(b) for b in bits))
+
+
 def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
     """Read a line-delimited JSON dataset; preprocess and validate each record."""
     taxonomy = tuple(taxonomy)
     contracts = []
     for index, record in _records(path):
-        labels = None
-        if record.get("labels") is not None:
-            bits = record["labels"]
-            if len(bits) != len(taxonomy):
-                raise SchemaError(
-                    f"record {index}: {len(bits)} labels for taxonomy of {len(taxonomy)}"
-                )
-            labels = LabelVector(bits=tuple(int(b) for b in bits))
+        labels = _labels(index, record, taxonomy)
         try:
             source = preprocess(record["source"])
         except EmptyContract as exc:
@@ -216,6 +216,11 @@ def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
 def read_ids(path) -> tuple[str, ...]:
     """Contract ids of a dataset file, checked like `ingest` but not preprocessed."""
     return tuple(record["id"] for _, record in _records(path))
+
+
+def read_labels(path, taxonomy: Sequence[str]) -> dict[str, Optional[LabelVector]]:
+    """Label vector (or None) by contract id, checked like `ingest` but not preprocessed."""
+    return {record["id"]: _labels(index, record, taxonomy) for index, record in _records(path)}
 
 
 def check_disjoint(train_ids: Iterable[str], test_ids: Iterable[str]) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import LabelVector
 from .detectors import DetectionResult
 from .errors import AllDetectorsFailed, EmptyDataset, InvalidParameter, NumericError, ShapeError
-from .slora import sigmoid
+from .slora import bce_loss, sigmoid
 
 DEFAULT_HIDDEN1 = 16
 DEFAULT_HIDDEN2 = 8
@@ -39,10 +39,6 @@ class MetaLearner:
     def psi(self) -> int:
         return self.w.size
 
-    @property
-    def hidden(self) -> tuple[int, int]:
-        return self.w1.shape[0], self.w2.shape[0]
-
 
 def init_meta(psi: int = 3, h1: int = DEFAULT_HIDDEN1, h2: int = DEFAULT_HIDDEN2,
               seed: int = 0) -> MetaLearner:
@@ -60,30 +56,6 @@ def init_meta(psi: int = 3, h1: int = DEFAULT_HIDDEN1, h2: int = DEFAULT_HIDDEN2
     )
 
 
-def fuse(w: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-    """Elementwise product of fusion weights and base predictions."""
-    w = np.asarray(w, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    if w.shape != yhat.shape:
-        raise ShapeError(f"weight/prediction length mismatch: {w.shape} vs {yhat.shape}")
-    return w * yhat
-
-
-def meta_forward(learner: MetaLearner, x) -> float:
-    """relu -> relu -> sigmoid on a fused length-psi input; output in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    h1 = np.maximum(learner.w1 @ x + learner.b1, 0.0)
-    h2 = np.maximum(learner.w2 @ h1 + learner.b2, 0.0)
-    return float(sigmoid(learner.w3 @ h2 + learner.b3)[0])
-
-
-def meta_forward_counted(learner: MetaLearner, x) -> tuple[float, int]:
-    """Forward pass plus its exact multiply count psi*h1 + h1*h2 + h2."""
-    h1, h2 = learner.hidden
-    count = learner.psi * h1 + h1 * h2 + h2 * 1
-    return meta_forward(learner, x), count
-
-
 def _forward_batch(learner: MetaLearner, raw: np.ndarray):
     fused = raw * learner.w
     z1 = fused @ learner.w1.T + learner.b1
@@ -94,8 +66,15 @@ def _forward_batch(learner: MetaLearner, raw: np.ndarray):
     return fused, z1, a1, z2, a2, sigmoid(z3)[:, 0]
 
 
-def predict_batch(learner: MetaLearner, raw: np.ndarray) -> np.ndarray:
-    """Probabilities for an (n, psi) matrix of raw base predictions."""
+def meta_forward(learner: MetaLearner, raw) -> np.ndarray:
+    """Probabilities in (0, 1) for an (n, psi) matrix of raw base predictions.
+
+    The fusion weights are applied inside; training runs this same forward.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim != 2 or raw.shape[1] != learner.psi:
+        raise ShapeError(f"learner fuses {learner.psi} detectors, got predictions of shape "
+                         f"{raw.shape}")
     return _forward_batch(learner, raw)[-1]
 
 
@@ -115,9 +94,7 @@ class MetaTrainResult:
 def _batch_grads(learner: MetaLearner, raw, y):
     n = raw.shape[0]
     fused, z1, a1, z2, a2, p = _forward_batch(learner, raw)
-    eps = 1e-7
-    pc = np.clip(p, eps, 1.0 - eps)
-    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+    loss = bce_loss(y, p)
     d3 = ((p - y) / n)[:, None]                      # n x 1
     gw3 = d3.T @ a2
     gb3 = d3.sum(axis=0)
@@ -208,6 +185,20 @@ def adapt_to_task(w: np.ndarray, task_loss_and_grad: Callable, lam: float,
     return v
 
 
+def _detector_matrix(results: Sequence[DetectionResult], num_labels: int) -> np.ndarray:
+    """(detectors, num_labels) probabilities of one contract; 0.5 for a failed detector."""
+    raw = np.full((len(results), num_labels), IMPUTED_PROBABILITY)
+    for i, r in enumerate(results):
+        if r.ok:
+            if len(r.probabilities) != num_labels:
+                raise ShapeError(
+                    f"detector {r.detector_name!r} returned {len(r.probabilities)} "
+                    f"probabilities, expected {num_labels}"
+                )
+            raw[i] = r.probabilities
+    return raw
+
+
 def verify(learner: MetaLearner, results: Sequence[DetectionResult],
            threshold: float = DEFAULT_THRESHOLD,
            num_labels: Optional[int] = None) -> tuple[LabelVector, tuple[float, ...]]:
@@ -221,18 +212,7 @@ def verify(learner: MetaLearner, results: Sequence[DetectionResult],
         raise AllDetectorsFailed("no successful detector results to verify")
     if num_labels is None:
         num_labels = len(ok[0].probabilities)
-    raw = np.full((len(results), num_labels), IMPUTED_PROBABILITY)
-    for i, r in enumerate(results):
-        if r.ok:
-            if len(r.probabilities) != num_labels:
-                raise ShapeError(
-                    f"detector {r.detector_name!r} returned {len(r.probabilities)} "
-                    f"probabilities, expected {num_labels}"
-                )
-            raw[i] = r.probabilities
-    if raw.shape[0] != learner.psi:
-        raise ShapeError(f"learner expects {learner.psi} detectors, got {raw.shape[0]}")
-    probs = tuple(meta_forward(learner, fuse(learner.w, raw[:, j])) for j in range(num_labels))
+    probs = tuple(meta_forward(learner, _detector_matrix(results, num_labels).T).tolist())
     bits = tuple(1 if p >= threshold else 0 for p in probs)
     return LabelVector(bits=bits), probs
 
@@ -276,16 +256,9 @@ def rows_from_results(per_contract_results: Sequence[Sequence[DetectionResult]],
     """Build (rows, targets): one row per (contract, label) cell."""
     if len(per_contract_results) != len(truths):
         raise ShapeError("results and truths must align")
-    rows, targets = [], []
-    for results, truth in zip(per_contract_results, truths):
-        num_labels = len(truth)
-        raw = np.full((len(results), num_labels), IMPUTED_PROBABILITY)
-        for i, r in enumerate(results):
-            if r.ok:
-                raw[i] = r.probabilities
-        for j in range(num_labels):
-            rows.append(raw[:, j])
-            targets.append(truth.bits[j])
-    if not rows:
+    targets = [bit for truth in truths for bit in truth.bits]
+    if not targets:
         raise EmptyDataset("no meta-training rows")
-    return np.stack(rows), np.asarray(targets, dtype=np.float64)
+    rows = [_detector_matrix(results, len(truth)).T
+            for results, truth in zip(per_contract_results, truths)]
+    return np.concatenate(rows), np.asarray(targets, dtype=np.float64)

@@ -20,7 +20,8 @@ from . import dense as dense_mod
 from . import meta as meta_mod
 from . import slora as slora_mod
 from .config import PipelineConfig
-from .corpus import Dataset, LabelVector, check_disjoint, ingest, load_taxonomy, read_ids
+from .corpus import (Dataset, LabelVector, check_disjoint, ingest, load_taxonomy, read_ids,
+                     read_labels)
 from .detectors import (
     Bm25Detector,
     DenseDetector,
@@ -191,30 +192,24 @@ def build_detectors(config: PipelineConfig, taxonomy, workdir) -> list:
     for spec in config.detectors:
         kind = spec["kind"]
         if kind == "bm25":
-            path = spec.get("index_path") or _require(workdir, "bm25_index", "build-index")
-            detectors.append(Bm25Detector(bm25_mod.Bm25Index.load(path), num_labels,
-                                          top_k=config.bm25.top_k,
+            index = bm25_mod.Bm25Index.load(_require(workdir, "bm25_index", "build-index"))
+            detectors.append(Bm25Detector(index, num_labels, top_k=config.bm25.top_k,
                                           vote_threshold=config.bm25.vote_threshold))
         elif kind == "dense":
-            path = spec.get("store_path") or _require(workdir, "dense_store", "build-index")
-            store = dense_mod.VectorStore.load(path)
+            store = dense_mod.VectorStore.load(_require(workdir, "dense_store", "build-index"))
             detectors.append(DenseDetector(store, num_labels, _segmentation(config)))
         elif kind == "slora":
-            path = spec.get("checkpoint_path") or _require(workdir, "slora_ckpt", "train-slora")
-            layer, head, extractor, ck_tax = slora_mod.load_checkpoint(path)
+            layer, head, extractor, ck_tax = slora_mod.load_checkpoint(
+                _require(workdir, "slora_ckpt", "train-slora"))
             if tuple(ck_tax) != tuple(taxonomy):
                 raise StageError("adapter checkpoint was trained on a different taxonomy")
             detectors.append(SloraDetector(layer, head, extractor, num_labels))
         elif kind == "external":
-            endpoint = spec.get("endpoint") or config.external.endpoint
-            if not endpoint:
+            if not config.external.endpoint:
                 raise ConfigError("external detector requires an endpoint", keys=["external"])
-            detectors.append(ExternalDetector(
-                endpoint, taxonomy,
-                timeout=spec.get("timeout", config.external.timeout),
-                auth_header=spec.get("auth_header", config.external.auth_header),
-                name=spec.get("name", "external"),
-            ))
+            detectors.append(ExternalDetector(config.external.endpoint, taxonomy,
+                                              timeout=config.external.timeout,
+                                              auth_header=config.external.auth_header))
         elif kind == "mock":
             detectors.append(MockDetector(
                 spec.get("probabilities", [0.5] * num_labels),
@@ -292,9 +287,11 @@ def _read_results(workdir) -> list[dict]:
 
 
 def stage_evaluate(config: PipelineConfig, workdir) -> EvalSummary:
-    test = _load_split(config, "test")
+    # only ids and labels are read, so the test sources are not preprocessed
+    taxonomy, paths = _dataset_files(config)
+    truth_by_id = read_labels(paths["test"], taxonomy)
+    check_disjoint(truth_by_id, read_ids(paths["train"]))
     records = _read_results(workdir)
-    truth_by_id = {c.id: c.labels for c in test if c.labels is not None}
     summary = EvalSummary()
 
     detector_names = sorted({name for rec in records for name in rec["detectors"]})

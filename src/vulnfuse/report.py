@@ -269,7 +269,7 @@ def llm_report(contract: Contract, final_labels: LabelVector,
     Returns (markdown, used_fallback). Transport errors and replies missing
     any of the five section headers both trigger the fallback.
     """
-    detected = [name for i, name in enumerate(taxonomy) if final_labels.bits[i]]
+    detected = final_labels.names(taxonomy)
     fallback = render_report(contract, final_labels, probabilities, taxonomy, knowledge)
     if not detected:
         return fallback, False

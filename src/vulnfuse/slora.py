@@ -212,8 +212,7 @@ def batch_loss_and_grads(x, y, layer: AdapterLayer, head: ReadoutHead, mask: np.
     h = x @ layer.w_q + lowrank_forward(x, layer.u, layer.v) \
         + sparse_forward(x, layer.s, mask)
     probs = sigmoid(h @ head.w + head.b)
-    p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    loss = bce_loss(y, probs)
 
     dz = (probs - y) / (n * num_labels)
     grad_head_w = h.T @ dz

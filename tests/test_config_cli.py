@@ -60,6 +60,13 @@ BAD_VALUES = [
     {"bm25": {"keywords": [1]}},
     {"bm25": {"keywords": [""]}},
     {"bm25": {"keywords": ["call", None]}},
+    # a detector spec sets only the keys its kind reads
+    {"detectors": [{"kind": "bm25", "top_k": 3}]},
+    {"detectors": [{"kind": "dense", "index_pth": "x"}]},
+    {"detectors": [{"kind": "bm25", "index_path": "x"}]},   # removed key
+    {"detectors": [{"kind": "slora", "checkpoint_path": "x"}]},   # removed key
+    {"detectors": [{"kind": "external", "endpoint": "http://x/"}]},   # removed key
+    {"detectors": [{"kind": "mock", "delays": 1.0}]},
 ]
 
 
@@ -121,6 +128,13 @@ class TestLoadConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_detector_spec_keys_accepted(self, tmp_path):
+        mock = {"kind": "mock", "probabilities": [0.5] * 5, "name": "m", "delay": 0.0,
+                "fail": False}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"detectors": [{"kind": "bm25"}, {"kind": "external"}, mock]}))
+        assert load_config(path).detectors[2] == mock
 
     def test_integral_float_field_accepts_int(self, tmp_path):
         path = tmp_path / "config.json"

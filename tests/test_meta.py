@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vulnfuse import meta
+from vulnfuse.corpus import LabelVector
 from vulnfuse.detectors import DetectionResult
 from vulnfuse.errors import (
     AllDetectorsFailed,
@@ -14,17 +18,15 @@ from vulnfuse.meta import (
     MetaLearner,
     MetaTrainConfig,
     adapt_to_task,
-    fuse,
     init_meta,
     load_meta,
     meta_forward,
-    meta_forward_counted,
-    predict_batch,
     rows_from_results,
     save_meta,
     train_meta,
     verify,
 )
+from vulnfuse.slora import sigmoid
 
 
 def ok_result(name, probs):
@@ -47,27 +49,59 @@ def passthrough_learner():
     )
 
 
+def oracle_forward(learner, raw) -> float:
+    """The per-cell verifier of earlier versions: fuse one label's predictions, then GEMV."""
+    x = learner.w * np.asarray(raw, dtype=np.float64)
+    h1 = np.maximum(learner.w1 @ x + learner.b1, 0.0)
+    h2 = np.maximum(learner.w2 @ h1 + learner.b2, 0.0)
+    return float(sigmoid(learner.w3 @ h2 + learner.b3)[0])
+
+
 class TestFuse:
+    """The fusion weights scale each detector's prediction inside `meta_forward`."""
+
     def test_identity_weights(self):
-        yhat = np.array([0.3, 0.6, 0.9])
-        assert np.array_equal(fuse(np.ones(3), yhat), yhat)
+        learner = init_meta(psi=3, seed=20)
+        raw = np.array([[0.3, 0.6, 0.9]])
+        assert meta_forward(learner, raw)[0] == pytest.approx(oracle_forward(learner, raw[0]),
+                                                              abs=1e-15)
 
     def test_zero_weights(self):
-        assert np.array_equal(fuse(np.zeros(3), np.array([0.5, 0.5, 0.5])), np.zeros(3))
+        learner = init_meta(psi=3, seed=20)
+        learner.w = np.zeros(3)
+        got = meta_forward(learner, np.random.default_rng(0).random((6, 3)))
+        assert np.all(got == got[0])
+        assert got[0] == pytest.approx(oracle_forward(learner, np.zeros(3)), abs=1e-15)
 
     def test_hand_example(self):
-        got = fuse(np.array([2.0, 0.5, 1.0]), np.array([0.5, 1.0, 0.3]))
-        assert np.allclose(got, [1.0, 0.5, 0.3], atol=1e-15)
+        learner = MetaLearner(
+            w=np.array([2.0, 0.5, 1.0]),
+            w1=np.array([[1.0, 2.0, 4.0]]), b1=np.zeros(1),
+            w2=np.array([[1.0]]), b2=np.zeros(1),
+            w3=np.array([[1.0]]), b3=np.zeros(1),
+        )
+        # fused input [1.0, 0.5, 0.3]; unit weights would give the logit 3.7
+        got = meta_forward(learner, np.array([[0.5, 1.0, 0.3]]))[0]
+        assert got == pytest.approx(1.0 / (1.0 + math.exp(-3.2)), abs=1e-15)
 
     def test_linear_in_predictions(self):
         rng = np.random.default_rng(0)
-        w = rng.normal(0, 1, 4)
+        # biases keep every ReLU active, so the logit is affine in w * raw
+        learner = MetaLearner(
+            w=rng.normal(0, 1, 4),
+            w1=rng.normal(0, 0.1, (4, 4)), b1=np.full(4, 10.0),
+            w2=rng.normal(0, 0.1, (3, 4)), b2=np.full(3, 10.0),
+            w3=rng.normal(0, 0.1, (1, 3)), b3=np.zeros(1),
+        )
         a, b = rng.random(4), rng.random(4)
-        assert np.allclose(fuse(w, a + b), fuse(w, a) + fuse(w, b), atol=1e-12)
+        p = meta_forward(learner, np.stack([np.zeros(4), a, b, a + b]))
+        z = np.log(p / (1.0 - p)) - np.log(p[0] / (1.0 - p[0]))
+        assert z[3] == pytest.approx(z[1] + z[2], abs=1e-9)
 
     def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            fuse(np.ones(3), np.ones(4))
+        for shape in ((2, 4), (3,), (1, 2)):
+            with pytest.raises(ShapeError):
+                meta_forward(init_meta(psi=3, seed=0), np.ones(shape))
 
 
 class TestForward:
@@ -78,7 +112,7 @@ class TestForward:
             w2=np.zeros((2, 4)), b2=np.zeros(2),
             w3=np.zeros((1, 2)), b3=np.zeros(1),
         )
-        assert meta_forward(learner, np.zeros(3)) == 0.5
+        assert meta_forward(learner, np.zeros((1, 3))).tolist() == [0.5]
 
     def test_hand_forward_pass(self):
         learner = MetaLearner(
@@ -87,21 +121,16 @@ class TestForward:
             w2=np.array([[1.0]]), b2=np.zeros(1),
             w3=np.array([[1.0]]), b3=np.zeros(1),
         )
-        got = meta_forward(learner, np.array([1.0, 0.0, 0.0]))
+        got = meta_forward(learner, np.array([[1.0, 0.0, 0.0]]))[0]
         assert got == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
         assert got == pytest.approx(0.88080, abs=1e-5)
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(1)
         learner = init_meta(psi=3, seed=2)
-        for _ in range(50):
-            p = meta_forward(learner, rng.normal(0, 5, 3))
-            assert 0.0 < p < 1.0
-
-    def test_multiply_count(self):
-        learner = init_meta(psi=3, h1=16, h2=8, seed=0)
-        _, count = meta_forward_counted(learner, np.ones(3))
-        assert count == 3 * 16 + 16 * 8 + 8
+        p = meta_forward(learner, rng.normal(0, 5, (50, 3)))
+        assert p.shape == (50,)
+        assert np.all((0.0 < p) & (p < 1.0))
 
 
 class TestTrain:
@@ -112,7 +141,7 @@ class TestTrain:
         rows = np.stack([truth, rng.random(n), rng.random(n)], axis=1)
         learner, _ = train_meta(rows[:700], truth[:700],
                                 MetaTrainConfig(learning_rate=0.1, epochs=300, seed=0))
-        pred = (predict_batch(learner, rows[700:]) >= 0.5).astype(np.float64)
+        pred = (meta_forward(learner, rows[700:]) >= 0.5).astype(np.float64)
         y = truth[700:]
         tp = float(np.sum(pred * y))
         fp = float(np.sum(pred * (1 - y)))
@@ -275,10 +304,64 @@ class TestVerify:
         labels, _ = verify(learner, results)
         assert labels.bits == (1,)
 
+    def test_shape_mismatch_rejected(self):
+        learner = passthrough_learner()
+        with pytest.raises(ShapeError, match="fuses 3 detectors"):
+            verify(learner, [ok_result("a", [0.9]), ok_result("b", [0.9])])
+        with pytest.raises(ShapeError, match="'c' returned 2"):
+            verify(learner, [ok_result("a", [0.9]), failed_result("b"), ok_result("c", [0.9, 0.1])])
+
+    def test_one_forward_call_per_contract(self, monkeypatch):
+        calls = []
+        real = meta.meta_forward
+
+        def counting(learner, raw):
+            calls.append(np.shape(raw))
+            return real(learner, raw)
+
+        monkeypatch.setattr(meta, "meta_forward", counting)
+        results = [ok_result("a", [0.1] * 5), failed_result("b"), ok_result("c", [0.9] * 5)]
+        verify(init_meta(psi=3, seed=3), results)
+        assert calls == [(5, 3)]
+
+
+class TestVerifyMatchesPerCellOracle:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        psi=st.integers(1, 4),
+        num_labels=st.integers(1, 6),
+        data=st.data(),
+        threshold=st.floats(0.05, 0.95),
+    )
+    def test_verify_matches_oracle(self, seed, psi, num_labels, data, threshold):
+        rng = np.random.default_rng(seed)
+        learner = init_meta(psi=psi, h1=int(rng.integers(1, 17)), h2=int(rng.integers(1, 9)),
+                            seed=seed)
+        learner.w = rng.normal(1.0, 0.5, psi)
+        learner.b1 += rng.normal(0, 0.3, learner.b1.shape)
+        learner.b2 += rng.normal(0, 0.3, learner.b2.shape)
+        probability = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        failed = data.draw(st.lists(st.booleans(), min_size=psi, max_size=psi)
+                           .filter(lambda f: not all(f)))
+        results = [
+            failed_result(f"d{i}") if fail else ok_result(
+                f"d{i}", data.draw(st.lists(probability, min_size=num_labels,
+                                            max_size=num_labels)))
+            for i, fail in enumerate(failed)
+        ]
+        labels, probs = verify(learner, results, threshold)
+        raw = np.array([r.probabilities if r.ok else [0.5] * num_labels for r in results])
+        want = [oracle_forward(learner, raw[:, j]) for j in range(num_labels)]
+        assert len(probs) == num_labels
+        for got, expected, bit in zip(probs, want, labels.bits):
+            assert abs(got - expected) <= 1e-15
+            if abs(expected - threshold) > 1e-15:
+                assert bit == (1 if expected >= threshold else 0)
+
 
 class TestRowsAndPersistence:
     def test_rows_from_results(self, taxonomy5):
-        from vulnfuse.corpus import LabelVector
         per_contract = [
             [ok_result("a", [1, 0, 0, 0, 0]), failed_result("b")],
             [ok_result("a", [0, 1, 0, 0, 0]), ok_result("b", [0, 1, 0, 0, 0])],
@@ -288,6 +371,12 @@ class TestRowsAndPersistence:
         assert rows.shape == (10, 2)
         assert targets.tolist() == [1, 0, 0, 0, 0, 0, 1, 0, 0, 0]
         assert rows[0].tolist() == [1.0, 0.5]  # failed detector imputed
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_rows_reject_wrong_length(self, length):
+        per_contract = [[ok_result("a", [0.7] * length), ok_result("b", [0.1] * 5)]]
+        with pytest.raises(ShapeError, match="'a' returned"):
+            rows_from_results(per_contract, [LabelVector(bits=(1, 0, 0, 0, 0))])
 
     def test_save_load_roundtrip(self, tmp_path):
         learner = init_meta(psi=3, seed=12)

@@ -45,11 +45,12 @@ def test_each_stage_preprocesses_only_its_split(project, preprocess_calls):
     config, work, sizes = project["config"], project["work"], project["sizes"]
     pipeline.stage_ingest(config)
     assert len(preprocess_calls) == sizes["train"] + sizes["test"]
-    for stage, split in (("train_meta", "train"), ("detect", "test"),
-                         ("evaluate", "test"), ("report", "test")):
+    # evaluate reads only ids and labels, so it preprocesses nothing
+    for stage, expected in (("train_meta", sizes["train"]), ("detect", sizes["test"]),
+                            ("evaluate", 0), ("report", sizes["test"])):
         preprocess_calls.clear()
         getattr(pipeline, f"stage_{stage}")(config, work)
-        assert len(preprocess_calls) == sizes[split], stage
+        assert len(preprocess_calls) == expected, stage
 
 
 def test_shared_id_rejected_in_detect(project):
@@ -68,3 +69,10 @@ def test_malformed_other_split_rejected(project, preprocess_calls):
         pipeline.stage_detect(project["config"], project["work"])
     assert err.value.record_index == project["sizes"]["train"]
     assert len(preprocess_calls) == project["sizes"]["test"]
+
+
+def test_wrong_label_length_rejected_in_evaluate(project):
+    with open(project["paths"]["test"], "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "extra", "source": "contract X {}", "labels": [1, 0]}) + "\n")
+    with pytest.raises(SchemaError, match="2 labels for taxonomy of 5"):
+        pipeline.stage_evaluate(project["config"], project["work"])
