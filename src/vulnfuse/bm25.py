@@ -97,11 +97,22 @@ class RetrievalHit:
     labels: LabelVector
 
 
+def check_params(k1: float, b: float, top_k: int = DEFAULT_TOP_K) -> None:
+    """BM25 needs k1 >= 0, 0 <= b <= 1 and a positive top-k."""
+    if not k1 >= 0.0:
+        raise InvalidParameter(f"k1 must be non-negative, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise InvalidParameter(f"b must be in [0, 1], got {b}")
+    if top_k <= 0:
+        raise InvalidParameter(f"top-k must be positive, got {top_k}")
+
+
 class Bm25Index:
     """BM25 statistics plus CSR postings for scoring."""
 
     def __init__(self, doc_tokens, ids, labels, k1=DEFAULT_K1, b=DEFAULT_B,
                  keywords=DEFAULT_KEYWORDS):
+        check_params(k1, b)
         if not doc_tokens:
             raise EmptyCorpus("cannot build a BM25 index from zero documents")
         if not (len(doc_tokens) == len(ids) == len(labels)):
@@ -120,6 +131,7 @@ class Bm25Index:
         for tf in self.term_freqs:
             self.doc_freq.update(tf.keys())
         self._build_postings()
+        self._idf = np.fromiter(map(self.idf, self.vocab), np.float64, len(self.vocab))  # by id
         self._row_order = RowOrder(self.ids)
         # per-doc length-normalization denominator k1*(1 - b + b*l_D/l_avg)
         self._norms = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avg_len)
@@ -148,20 +160,33 @@ class Bm25Index:
         return math.log((self.N - n + 0.5) / (n + 0.5) + 1.0)
 
     def score_all(self, query_tokens: Sequence[str]) -> np.ndarray:
-        """Scores against every indexed document, one postings slice per query term."""
-        scores = np.zeros(self.N)
-        for term, mult in Counter(query_tokens).items():
-            tid = self.vocab.get(term)
-            if tid is None:
-                continue  # unseen term: zero contribution everywhere
-            lo, hi = self._post_indptr[tid], self._post_indptr[tid + 1]
-            docs = self._post_docs[lo:hi]
-            counts = self._post_counts[lo:hi]
-            # postings of one term list each document once, so plain fancy
-            # indexing accumulates correctly
-            weight = mult * self.idf(term)
-            scores[docs] += weight * (self.k1 + 1.0) * counts / (self._norms[docs] + counts)
-        return scores
+        """Scores against every indexed document, from one gather of the query's postings.
+
+        Terms keep their first-appearance order, so each document's score sums
+        its terms' contributions in that order.
+        """
+        # an unseen term adds nothing anywhere
+        known = [(self.vocab[term], mult) for term, mult in Counter(query_tokens).items()
+                 if term in self.vocab]
+        if not known:
+            return np.zeros(self.N)  # bincount of nothing would come back as integers
+        tids = np.array([tid for tid, _ in known], dtype=np.int64)
+        mults = np.array([mult for _, mult in known], dtype=np.float64)
+        lo = self._post_indptr[tids]
+        lengths = self._post_indptr[tids + 1] - lo
+        # positions of every slice, concatenated in term order
+        pos = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        pos += np.arange(pos.size)
+        docs = self._post_docs[pos]
+        counts = self._post_counts[pos]
+        del pos  # in-place steps below keep at most four postings-sized arrays alive
+        # weight * (k1 + 1) * count / (norm + count), each step as in the per-term formula
+        contrib = np.repeat(mults * self._idf[tids] * (self.k1 + 1.0), lengths)
+        contrib *= counts
+        counts += self._norms[docs]
+        contrib /= counts
+        # bincount adds each document's contributions in array order
+        return np.bincount(docs, weights=contrib, minlength=self.N)
 
     # -- persistence ---------------------------------------------------------
 
@@ -205,8 +230,7 @@ def build_bm25(train: Dataset, k1=DEFAULT_K1, b=DEFAULT_B,
 
 def bm25_retrieve(query: Contract, index: Bm25Index, k: int = DEFAULT_TOP_K) -> list[RetrievalHit]:
     """Top-k hits by descending score, ties by ascending id, self excluded."""
-    if k <= 0:
-        raise InvalidParameter(f"top-k must be positive, got {k}")
+    check_params(index.k1, index.b, k)
     scores = index.score_all(tokenize(query.source, index.keywords))
     rows = index._row_order.top(scores, k, exclude=query.id)
     return [

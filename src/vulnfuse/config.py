@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
+from . import bm25 as bm25_mod
+from . import meta as meta_mod
+from . import slora as slora_mod
 from .bm25 import DEFAULT_B, DEFAULT_K1, DEFAULT_KEYWORDS, DEFAULT_TOP_K, DEFAULT_VOTE_THRESHOLD
 from .dense import (DEFAULT_CHI, DEFAULT_EMBED_DIM, DEFAULT_MIN_LEN, DEFAULT_OVERLAP,
-                    DEFAULT_WINDOW, SegmentationParams)
+                    DEFAULT_WINDOW, HashingEmbedder, SegmentationParams)
 from .errors import ConfigError, InvalidParameter
 from .meta import DEFAULT_HIDDEN1, DEFAULT_HIDDEN2, DEFAULT_THRESHOLD
-from .slora import TrainConfig
 
 DEFAULT_DETECTORS = ({"kind": "dense"}, {"kind": "bm25"}, {"kind": "slora"})
 
@@ -95,6 +98,22 @@ _DETECTOR_KEYS = {
 }
 
 
+def _is_probability(value) -> bool:
+    return _is_type(value, (int, float)) and 0.0 <= value <= 1.0
+
+
+# the check each valued detector spec key must pass, by kind
+_DETECTOR_VALUES = {
+    "mock": {
+        "probabilities": lambda v: (isinstance(v, list) and v != []
+                                    and all(map(_is_probability, v))),
+        "name": lambda v: isinstance(v, str) and v != "",
+        "delay": lambda v: _is_type(v, (int, float)) and 0.0 <= v < math.inf,
+        "fail": lambda v: isinstance(v, bool),
+    },
+}
+
+
 def load_config(path) -> PipelineConfig:
     """Parse and validate a JSON config; unknown or ill-typed keys are fatal."""
     try:
@@ -155,6 +174,11 @@ def load_config(path) -> PipelineConfig:
             if bad:
                 raise ConfigError(f"{kind} detector spec sets unknown keys {bad}",
                                   keys=["detectors"])
+            checks = _DETECTOR_VALUES.get(kind, {})
+            bad = sorted(key for key in spec if key in checks and not checks[key](spec[key]))
+            if bad:
+                raise ConfigError(f"{kind} detector spec sets invalid values for {bad}",
+                                  keys=["detectors"])
         config.detectors = tuple(detectors)
     return config
 
@@ -170,10 +194,15 @@ def _is_keyword_list(value) -> bool:
 
 def _check_ranges(config: PipelineConfig) -> None:
     """Run the stage parameter validators now, so bad values fail at load."""
-    dense = config.dense
+    bm25, dense, slora, meta = config.bm25, config.dense, config.slora, config.meta
     try:
+        bm25_mod.check_params(bm25.k1, bm25.b, bm25.top_k)
         SegmentationParams(dense.window, dense.overlap, dense.min_len, dense.chi)
-        for section in (config.slora, config.meta):
-            TrainConfig(section.learning_rate, section.batch_size, section.epochs)
+        HashingEmbedder(dense.embed_dim)
+        slora_mod.HashedFeatureExtractor(slora.feature_dim)
+        slora_mod.check_adapter_params(slora.feature_dim, slora.rank, slora.alpha)
+        meta_mod.check_params(meta.hidden1, meta.hidden2, meta.threshold)
+        for section in (slora, meta):
+            slora_mod.TrainConfig(section.learning_rate, section.batch_size, section.epochs)
     except InvalidParameter as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc

@@ -16,6 +16,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptyContract, ParseError, SchemaError
 
 
@@ -89,11 +91,21 @@ def word_tokens(text: str) -> list[str]:
     return TOKEN_RE.findall(text.lower())
 
 
-def signed_bucket(text: str, dim: int, key: bytes = b"") -> tuple[int, float]:
-    """Bucket index in [0, dim) and a +/-1 sign from one keyed 64-bit hash digest."""
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8, key=key).digest()
-    h = int.from_bytes(digest, "big")
-    return h % dim, (1.0 if (h >> 63) & 1 == 0 else -1.0)
+def signed_buckets(texts: Iterable[str], dim: int,
+                   key: bytes = b"") -> tuple[np.ndarray, np.ndarray]:
+    """Bucket indices in [0, dim) and +/-1 signs, one keyed 64-bit blake2b digest per text.
+
+    The bucket is the big-endian digest modulo `dim` (below 2**63); the sign
+    is - when the digest's top bit is set.
+    """
+    base = hashlib.blake2b(digest_size=8, key=key)
+    digests = []
+    for text in texts:
+        h = base.copy()
+        h.update(text.encode("utf-8"))
+        digests.append(h.digest())
+    h = np.frombuffer(b"".join(digests), dtype=">u8")
+    return (h % np.uint64(dim)).astype(np.int64), np.where(h >> np.uint64(63), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bm25 import RetrievalHit, RowOrder, threshold_vote
-from .corpus import Contract, Dataset, LabelVector, signed_bucket, word_tokens
+from .corpus import Contract, Dataset, LabelVector, signed_buckets, word_tokens
 from .errors import EmptyFragment, EmptyStore, InvalidParameter, NoFragments
 
 DEFAULT_WINDOW = 1500
@@ -98,21 +98,18 @@ class HashingEmbedder:
             raise EmptyFragment("fragment has no tokenizable content")
         if len(tokens) < 3:
             return [" ".join(tokens)]
-        return [" ".join(tokens[i:i + 3]) for i in range(len(tokens) - 2)]
+        return [f"{a} {b} {c}" for a, b, c in zip(tokens, tokens[1:], tokens[2:])]
 
     def embed(self, fragment_text: str) -> np.ndarray:
         if not fragment_text:
             raise EmptyFragment("cannot embed empty text")
-        vec = np.zeros(self.dim)
-        for gram in self._grams(fragment_text):
-            idx, sign = signed_bucket(gram, self.dim)
-            vec[idx] += sign
+        # sums of +/-1 are exact, so bincount matches any accumulation order
+        idx, signs = signed_buckets(self._grams(fragment_text), self.dim)
+        vec = np.bincount(idx, weights=signs, minlength=self.dim)
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             # opposite-signed grams cancelled; fall back to unsigned counts
-            for gram in self._grams(fragment_text):
-                idx, _ = signed_bucket(gram, self.dim)
-                vec[idx] += 1.0
+            vec = np.bincount(idx, minlength=self.dim).astype(np.float64)
             norm = np.linalg.norm(vec)
         return vec / norm
 

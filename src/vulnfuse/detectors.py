@@ -1,10 +1,11 @@
 """Uniform detector interface and concurrent dispatch.
 
-Every detector maps a contract to a per-label probability vector. Retrieval
-detectors emit their binary votes as 0.0/1.0; the adapter classifier emits
-sigmoid outputs; the external detector forwards to an HTTP endpoint speaking
-the JSON wire protocol documented in the README. A failing detector yields a
-failed result and never blocks the others.
+Every detector maps a contract to a per-label probability vector, and a
+batch of contracts to one row per contract. Retrieval detectors emit their
+binary votes as 0.0/1.0; the adapter classifier emits sigmoid outputs; the
+external detector forwards to an HTTP endpoint speaking the JSON wire
+protocol documented in the README. A failing detector yields failed results
+and never blocks the others.
 """
 
 from __future__ import annotations
@@ -39,12 +40,16 @@ class DetectionResult:
         return self.status == "ok"
 
 
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 class Detector:
     """Base detector: subclasses implement predict(contract) -> probabilities."""
 
     name = "detector"
     # True for a detector whose predict mostly waits (on a network reply or a
-    # sleep) rather than computes; parallel_detect gives only these a thread.
+    # sleep) rather than computes; batch_detect gives only these a thread.
     waits = False
 
     def __init__(self, num_labels: int):
@@ -52,6 +57,21 @@ class Detector:
 
     def predict(self, contract: Contract) -> np.ndarray:
         raise NotImplementedError
+
+    def predict_batch(self, contracts: Sequence[Contract]) -> tuple[np.ndarray, list]:
+        """(n, num_labels) probabilities and, per row, an error string or None.
+
+        A failed row holds NaN. This default runs `predict` on each contract,
+        so one contract's failure fails only its own row.
+        """
+        probs = np.full((len(contracts), self.num_labels), np.nan)
+        errors = [None] * len(contracts)
+        for i, contract in enumerate(contracts):
+            try:
+                probs[i] = self.predict(contract)
+            except Exception as exc:
+                errors[i] = _failure(exc)
+        return probs, errors
 
 
 class MockDetector(Detector):
@@ -119,8 +139,12 @@ class SloraDetector(Detector):
         self.extractor = extractor
 
     def predict(self, contract):
-        x = self.extractor.extract(contract.source)[None, :]
-        return classifier_probs(x, self.layer, self.head)[0]
+        return self.predict_batch([contract])[0][0]
+
+    def predict_batch(self, contracts):
+        # one mask and one forward for the whole batch
+        x = np.stack([self.extractor.extract(c.source) for c in contracts])
+        return classifier_probs(x, self.layer, self.head), [None] * len(contracts)
 
 
 class ExternalDetector(Detector):
@@ -172,48 +196,77 @@ class ExternalDetector(Detector):
         raise last
 
 
+def _result(name: str, probs, error: Optional[str], elapsed: float) -> DetectionResult:
+    if error is not None:
+        return DetectionResult(detector_name=name, probabilities=None, elapsed=elapsed,
+                               status="failed", error=error)
+    return DetectionResult(detector_name=name,
+                           probabilities=tuple(np.asarray(probs, dtype=np.float64).tolist()),
+                           elapsed=elapsed, status="ok")
+
+
 def detect(detector: Detector, contract: Contract) -> DetectionResult:
-    """Run one detector, returning a failed result instead of raising."""
+    """Run one detector on one contract, returning a failed result instead of raising."""
     start = time.perf_counter()
     try:
-        probs = detector.predict(contract)
+        probs, error = detector.predict(contract), None
     except Exception as exc:
-        return DetectionResult(
-            detector_name=detector.name,
-            probabilities=None,
-            elapsed=time.perf_counter() - start,
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return DetectionResult(
-        detector_name=detector.name,
-        probabilities=tuple(float(p) for p in probs),
-        elapsed=time.perf_counter() - start,
-        status="ok",
-    )
+        probs, error = None, _failure(exc)
+    return _result(detector.name, probs, error, time.perf_counter() - start)
 
 
-def parallel_detect(detectors: Sequence[Detector], contract: Contract) -> list[DetectionResult]:
-    """Run every detector on `contract`; results follow configuration order.
+def _detect_rows(detector: Detector, contracts: Sequence[Contract]) -> list[DetectionResult]:
+    """One predict_batch call; each row's elapsed time is the batch's wall time over n.
 
-    Detectors that wait run in pool threads, while the compute-bound ones run
-    in turn on the calling thread: under the interpreter lock, threads would
-    add only contention to their Python work.
+    A detector that raises for the whole batch fails every row with that error.
+    """
+    start = time.perf_counter()
+    try:
+        probs, errors = detector.predict_batch(contracts)
+    except Exception as exc:
+        probs, errors = None, [_failure(exc)] * len(contracts)
+    elapsed = (time.perf_counter() - start) / max(len(contracts), 1)
+    return [_result(detector.name, probs[i] if error is None else None, error, elapsed)
+            for i, error in enumerate(errors)]
+
+
+def _walk(detector: Detector, contracts: Sequence[Contract]) -> list[DetectionResult]:
+    """A waiting detector's contracts one at a time: one request in flight."""
+    return [detect(detector, contract) for contract in contracts]
+
+
+def batch_detect(detectors: Sequence[Detector],
+                 contracts: Sequence[Contract]) -> list[list[DetectionResult]]:
+    """Every detector on every contract: per contract, results in configuration order.
+
+    Compute-bound detectors run `predict_batch` in turn on the calling
+    thread: under the interpreter lock, threads would add only contention to
+    their Python work. Each waiting detector gets one pool thread, which
+    walks the contracts in order while the calling thread computes.
+    Raises AllDetectorsFailed, naming the contract, if one contract fails on
+    every detector.
     """
     if not detectors:
         raise AllDetectorsFailed("no detectors configured")
-    results = [None] * len(detectors)
-    with ThreadPoolExecutor(max_workers=len(detectors)) as pool:
-        waiting = {i: pool.submit(detect, det, contract)
+    columns = [None] * len(detectors)
+    with ThreadPoolExecutor(max_workers=max(1, sum(d.waits for d in detectors))) as pool:
+        waiting = {i: pool.submit(_walk, det, contracts)
                    for i, det in enumerate(detectors) if det.waits}
         for i, det in enumerate(detectors):
             if i not in waiting:
-                results[i] = detect(det, contract)
+                columns[i] = _detect_rows(det, contracts)
         for i, future in waiting.items():
-            results[i] = future.result()
-    if all(r.status == "failed" for r in results):
-        raise AllDetectorsFailed(
-            f"every detector failed on contract {contract.id!r}: "
-            + "; ".join(f"{r.detector_name}: {r.error}" for r in results)
-        )
-    return results
+            columns[i] = future.result()
+    per_contract = [list(row) for row in zip(*columns)]
+    for contract, results in zip(contracts, per_contract):
+        if all(r.status == "failed" for r in results):
+            raise AllDetectorsFailed(
+                f"every detector failed on contract {contract.id!r}: "
+                + "; ".join(f"{r.detector_name}: {r.error}" for r in results)
+            )
+    return per_contract
+
+
+def parallel_detect(detectors: Sequence[Detector], contract: Contract) -> list[DetectionResult]:
+    """`batch_detect` on one contract; results follow configuration order."""
+    return batch_detect(detectors, [contract])[0]

@@ -40,10 +40,19 @@ class MetaLearner:
         return self.w.size
 
 
+def check_params(h1: int, h2: int, threshold: float = DEFAULT_THRESHOLD) -> None:
+    """Hidden sizes must be positive and the decision threshold in [0, 1]."""
+    if h1 < 1 or h2 < 1:
+        raise InvalidParameter("hidden sizes must be positive")
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidParameter(f"threshold must be in [0, 1], got {threshold}")
+
+
 def init_meta(psi: int = 3, h1: int = DEFAULT_HIDDEN1, h2: int = DEFAULT_HIDDEN2,
               seed: int = 0) -> MetaLearner:
-    if psi < 1 or h1 < 1 or h2 < 1:
-        raise InvalidParameter("psi and hidden sizes must be positive")
+    if psi < 1:
+        raise InvalidParameter("psi must be positive")
+    check_params(h1, h2)
     rng = np.random.default_rng(seed)
     return MetaLearner(
         w=np.ones(psi),
@@ -199,22 +208,37 @@ def _detector_matrix(results: Sequence[DetectionResult], num_labels: int) -> np.
     return raw
 
 
-def verify(learner: MetaLearner, results: Sequence[DetectionResult],
-           threshold: float = DEFAULT_THRESHOLD,
-           num_labels: Optional[int] = None) -> tuple[LabelVector, tuple[float, ...]]:
-    """Fuse per-label base predictions into final labels and probabilities.
+def _stacked_rows(per_contract_results: Sequence[Sequence[DetectionResult]],
+                  label_counts: Sequence[int]) -> np.ndarray:
+    """(sum of label counts, detectors): each contract's label rows in turn."""
+    return np.concatenate([_detector_matrix(results, n).T
+                           for results, n in zip(per_contract_results, label_counts)])
 
-    Failed detectors contribute the uninformative probability 0.5. A label is
-    set when the meta probability reaches the threshold (>= rule).
+
+def verify(learner: MetaLearner, per_contract: Sequence[Sequence[DetectionResult]],
+           threshold: float = DEFAULT_THRESHOLD, num_labels: Optional[int] = None,
+           ) -> list[tuple[LabelVector, tuple[float, ...]]]:
+    """Fuse each contract's per-label base predictions into final labels and probabilities.
+
+    One forward pass covers the label rows of every contract. Failed
+    detectors contribute the uninformative probability 0.5. A label is set
+    when the meta probability reaches the threshold (>= rule).
     """
-    ok = [r for r in results if r.ok]
-    if not ok:
-        raise AllDetectorsFailed("no successful detector results to verify")
-    if num_labels is None:
-        num_labels = len(ok[0].probabilities)
-    probs = tuple(meta_forward(learner, _detector_matrix(results, num_labels).T).tolist())
-    bits = tuple(1 if p >= threshold else 0 for p in probs)
-    return LabelVector(bits=bits), probs
+    counts = []
+    for results in per_contract:
+        ok = [r for r in results if r.ok]
+        if not ok:
+            raise AllDetectorsFailed("no successful detector results to verify")
+        counts.append(num_labels if num_labels is not None else len(ok[0].probabilities))
+    if not counts:
+        return []
+    probs = meta_forward(learner, _stacked_rows(per_contract, counts))
+    out = []
+    for row in np.split(probs, np.cumsum(counts)[:-1]):
+        row_probs = tuple(row.tolist())
+        bits = tuple(1 if p >= threshold else 0 for p in row_probs)
+        out.append((LabelVector(bits=bits), row_probs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +283,5 @@ def rows_from_results(per_contract_results: Sequence[Sequence[DetectionResult]],
     targets = [bit for truth in truths for bit in truth.bits]
     if not targets:
         raise EmptyDataset("no meta-training rows")
-    rows = [_detector_matrix(results, len(truth)).T
-            for results, truth in zip(per_contract_results, truths)]
-    return np.concatenate(rows), np.asarray(targets, dtype=np.float64)
+    rows = _stacked_rows(per_contract_results, [len(truth) for truth in truths])
+    return rows, np.asarray(targets, dtype=np.float64)

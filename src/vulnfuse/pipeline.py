@@ -28,7 +28,7 @@ from .detectors import (
     ExternalDetector,
     MockDetector,
     SloraDetector,
-    parallel_detect,
+    batch_detect,
 )
 from .errors import ConfigError, StageError
 from .metrics import EvalSummary, compute_metrics
@@ -228,7 +228,7 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
     Path(workdir).mkdir(parents=True, exist_ok=True)
     detectors = build_detectors(config, train.taxonomy, workdir)
     labeled = [c for c in holdout if c.labels is not None]
-    per_contract = [parallel_detect(detectors, c) for c in labeled]
+    per_contract = batch_detect(detectors, labeled)
     rows, targets = meta_mod.rows_from_results(per_contract, [c.labels for c in labeled])
     learner, result = meta_mod.train_meta(
         rows, targets,
@@ -251,15 +251,13 @@ def stage_detect(config: PipelineConfig, workdir) -> dict:
     test = _load_split(config, "test")
     detectors = build_detectors(config, test.taxonomy, workdir)
     learner, threshold = meta_mod.load_meta(_require(workdir, "meta_ckpt", "train-meta"))
-    lines = []
+    per_contract = batch_detect(detectors, test.contracts)
+    verify_start = time.perf_counter()
+    verified = meta_mod.verify(learner, per_contract, threshold, num_labels=len(test.taxonomy))
+    verify_s = time.perf_counter() - verify_start
     elapsed = {d.name: [] for d in detectors}
-    elapsed["verified"] = []
-    for contract in test:
-        results = parallel_detect(detectors, contract)
-        verify_start = time.perf_counter()
-        labels, probs = meta_mod.verify(learner, results, threshold,
-                                        num_labels=len(test.taxonomy))
-        elapsed["verified"].append(time.perf_counter() - verify_start)
+    lines = []
+    for contract, results, (labels, probs) in zip(test, per_contract, verified):
         for r in results:
             elapsed[r.detector_name].append(r.elapsed)
         lines.append(json.dumps({
@@ -271,6 +269,8 @@ def stage_detect(config: PipelineConfig, workdir) -> dict:
             "verified_labels": list(labels.bits),
             "verified_probabilities": list(probs),
         }, sort_keys=True))
+    # like each detector's, the one verify call's wall time over the contracts
+    elapsed["verified"] = [verify_s / len(test)] if len(test) else []
     results_path = _artifact(workdir, "results")
     results_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     timings = {name: (sum(vals) / len(vals) if vals else 0.0)

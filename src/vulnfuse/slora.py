@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, signed_bucket, word_tokens
+from .corpus import Dataset, signed_buckets, word_tokens
 from .errors import EmptyDataset, InvalidParameter, ShapeError
 
 BCE_EPS = 1e-7
@@ -54,12 +54,17 @@ class AdapterLayer:
         return self.w_q.shape[0]
 
 
-def init_adapter(dim: int, rank: int, alpha: float, seed: int = 0) -> AdapterLayer:
-    """Fresh layer: quantized random base, small U, zero V, tiny uniform S."""
+def check_adapter_params(dim: int, rank: int, alpha: float) -> None:
+    """An adapter needs 1 <= rank <= dim and a sparsity level in [0, 1]."""
     if not 1 <= rank <= dim:
         raise InvalidParameter(f"rank must be in [1, {dim}], got {rank}")
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameter(f"sparsity level must be in [0, 1], got {alpha}")
+
+
+def init_adapter(dim: int, rank: int, alpha: float, seed: int = 0) -> AdapterLayer:
+    """Fresh layer: quantized random base, small U, zero V, tiny uniform S."""
+    check_adapter_params(dim, rank, alpha)
     rng = np.random.default_rng(seed)
     w_q = quantize_base(rng.normal(0.0, 1.0 / math.sqrt(dim), (dim, dim)))
     return AdapterLayer(
@@ -292,11 +297,11 @@ class HashedFeatureExtractor:
     def extract(self, source: str) -> np.ndarray:
         # each distinct token is hashed once; integer sums are exact in any order
         counts = Counter(word_tokens(source))
-        vec = np.zeros(self.dim)
-        if counts:
-            idx, signs = zip(*(signed_bucket(t, self.dim, self._key) for t in counts))
-            vec = np.bincount(idx, weights=np.multiply(signs, list(counts.values())),
-                              minlength=self.dim)
+        if not counts:
+            return np.zeros(self.dim)
+        idx, signs = signed_buckets(counts, self.dim, self._key)
+        weights = signs * np.fromiter(counts.values(), np.float64, len(counts))
+        vec = np.bincount(idx, weights=weights, minlength=self.dim)
         norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 

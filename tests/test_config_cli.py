@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import vulnfuse
 from vulnfuse.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
@@ -67,6 +69,30 @@ BAD_VALUES = [
     {"detectors": [{"kind": "slora", "checkpoint_path": "x"}]},   # removed key
     {"detectors": [{"kind": "external", "endpoint": "http://x/"}]},   # removed key
     {"detectors": [{"kind": "mock", "delays": 1.0}]},
+    # a mock spec's values have the types MockDetector runs with
+    {"detectors": [{"kind": "mock", "delay": "1"}]},
+    {"detectors": [{"kind": "mock", "delay": -0.5}]},
+    {"detectors": [{"kind": "mock", "delay": True}]},
+    {"detectors": [{"kind": "mock", "probabilities": "abcde"}]},
+    {"detectors": [{"kind": "mock", "probabilities": []}]},
+    {"detectors": [{"kind": "mock", "probabilities": [0.5, 1.5]}]},
+    {"detectors": [{"kind": "mock", "probabilities": [0.5, True]}]},
+    {"detectors": [{"kind": "mock", "name": 3}]},
+    {"detectors": [{"kind": "mock", "name": ""}]},
+    {"detectors": [{"kind": "mock", "fail": "no"}]},
+    {"detectors": [{"kind": "mock", "fail": 0}]},
+    # values in range for their type but not for the stage that reads them
+    {"slora": {"rank": 64, "feature_dim": 32}},
+    {"slora": {"rank": 0}},
+    {"slora": {"feature_dim": 0}},
+    {"slora": {"alpha": 2.0}},
+    {"bm25": {"top_k": 0}},
+    {"bm25": {"k1": -1}},
+    {"bm25": {"b": 2.0}},
+    {"dense": {"embed_dim": 0}},
+    {"meta": {"hidden1": 0}},
+    {"meta": {"hidden2": 0}},
+    {"meta": {"threshold": 2.0}},
 ]
 
 
@@ -135,6 +161,18 @@ class TestLoadConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"detectors": [{"kind": "bm25"}, {"kind": "external"}, mock]}))
         assert load_config(path).detectors[2] == mock
+
+    def test_range_edges_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "bm25": {"k1": 0, "b": 1.0, "top_k": 1},
+            "slora": {"feature_dim": 4, "rank": 4, "alpha": 0.0},
+            "meta": {"hidden1": 1, "hidden2": 1, "threshold": 1.0},
+            "dense": {"embed_dim": 1},
+            "detectors": [{"kind": "mock", "probabilities": [0, 1], "delay": 0, "fail": True}],
+        }))
+        config = load_config(path)
+        assert (config.slora.rank, config.meta.threshold) == (4, 1.0)
 
     def test_integral_float_field_accepts_int(self, tmp_path):
         path = tmp_path / "config.json"
@@ -281,11 +319,13 @@ class TestCliFlow:
         ("build-index", {"dense": {"overlap": 2000}}),
         ("train-slora", {"slora": {"epochs": 0}}),
         ("train-meta", {"meta": {"lam": 1.0}}),
+        ("train-slora", {"slora": {"rank": 65}}),
+        ("detect", {"detectors": [{"kind": "mock", "delay": "1"}]}),
     ])
     def test_bad_value_exits_2(self, mini_project, tmp_path, capsys, command, section):
         config = json.loads(Path(mini_project["config"]).read_text())
         for name, block in section.items():
-            config[name] = {**config.get(name, {}), **block}
+            config[name] = {**config.get(name, {}), **block} if isinstance(block, dict) else block
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
         code = main([command, "--config", str(bad), "--out", str(tmp_path / "work")])
@@ -315,7 +355,11 @@ class TestCliFlow:
         assert main(["detect", "--config", str(cfg), "--out", str(work)]) == EXIT_ALL_FAILED
 
     def test_console_script_installed(self):
+        # pytest's `pythonpath` setting reaches only this process, not the child
+        parent = str(Path(vulnfuse.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (parent, os.environ.get("PYTHONPATH"))))}
         result = subprocess.run([sys.executable, "-m", "vulnfuse.cli", "--help"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "synth" in result.stdout

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vulnfuse.corpus import Contract, Dataset, LabelVector, signed_bucket
+from vulnfuse.corpus import Contract, Dataset, LabelVector, signed_buckets
 from vulnfuse.dense import (
     HashingEmbedder,
     SegmentationParams,
@@ -127,8 +127,8 @@ class TestEmbed:
         e = HashingEmbedder()
         text_a = "alpha bravo charlie delta"
         text_b = "echo foxtrot golf hotel"
-        buckets_a = {signed_bucket(g, e.dim)[0] for g in e._grams(text_a)}
-        buckets_b = {signed_bucket(g, e.dim)[0] for g in e._grams(text_b)}
+        buckets_a = set(signed_buckets(e._grams(text_a), e.dim)[0].tolist())
+        buckets_b = set(signed_buckets(e._grams(text_b), e.dim)[0].tolist())
         assert not buckets_a & buckets_b, "constructed inputs collide; pick new tokens"
         # both embeddings are unit vectors, so the dot product is the cosine
         assert np.dot(e.embed(text_a), e.embed(text_b)) == 0.0

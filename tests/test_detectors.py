@@ -16,10 +16,12 @@ from vulnfuse.detectors import (
     ExternalDetector,
     MockDetector,
     SloraDetector,
+    batch_detect,
     detect,
     parallel_detect,
 )
 from vulnfuse.errors import AllDetectorsFailed
+from vulnfuse import detectors as detectors_mod
 from vulnfuse.slora import HashedFeatureExtractor, init_adapter, init_head
 
 from conftest import make_dataset
@@ -211,3 +213,170 @@ class TestInlineDispatch:
         results = parallel_detect(detectors, Contract(id="c", source="x;"))
         assert time.perf_counter() - start < 0.18
         assert [r.detector_name for r in results] == ["busy", "remote"]
+
+
+def local_detectors(taxonomy):
+    """dense, bm25 and slora over a small labelled corpus of long contracts."""
+    rows = [(text_of_length(1800, seed=i) + f" alpha{i % 3} call transfer",
+             [i % 2, 0, (i // 2) % 2, 0, 1]) for i in range(8)]
+    ds = make_dataset(rows, taxonomy)
+    layer = init_adapter(16, 2, 0.5, seed=2)
+    head = init_head(16, 5, seed=2)
+    return [
+        DenseDetector(build_store(ds), num_labels=5),
+        Bm25Detector(build_bm25(ds), num_labels=5, top_k=3, vote_threshold=2),
+        SloraDetector(layer, head, HashedFeatureExtractor(16, seed=2), num_labels=5),
+    ]
+
+
+def queries(n, short=()):
+    """n contracts; those at the `short` positions are shorter than dense's min_len."""
+    return [Contract(id=f"q{i}", source="alpha call" if i in short
+                     else text_of_length(900 + 300 * i, seed=50 + i) + " call")
+            for i in range(n)]
+
+
+class TestPredictBatch:
+    def test_batch_rows_equal_per_contract_predict(self, taxonomy5):
+        contracts = queries(5)
+        for detector in local_detectors(taxonomy5):
+            probs, errors = detector.predict_batch(contracts)
+            assert probs.shape == (5, 5) and errors == [None] * 5
+            for row, contract in zip(probs, contracts):
+                one = detector.predict(contract)
+                if detector.name == "slora":
+                    assert np.abs(row - one).max() <= 1e-15
+                else:
+                    assert row.tolist() == one.tolist()
+
+    def test_adapter_runs_one_forward_per_batch(self, taxonomy5, monkeypatch):
+        calls = []
+        real = detectors_mod.classifier_probs
+
+        def counting(x, layer, head):
+            calls.append(x.shape)
+            return real(x, layer, head)
+
+        monkeypatch.setattr(detectors_mod, "classifier_probs", counting)
+        slora = local_detectors(taxonomy5)[2]
+        slora.predict_batch(queries(4))
+        assert calls == [(4, 16)]
+
+    def test_default_batch_fails_only_the_raising_rows(self, taxonomy5):
+        dense = local_detectors(taxonomy5)[0]
+        probs, errors = dense.predict_batch(queries(3, short={1}))
+        assert errors[0] is None and errors[2] is None
+        assert errors[1].startswith("NoFragments")
+        assert np.isnan(probs[1]).all() and not np.isnan(probs[[0, 2]]).any()
+
+
+class TestBatchDetect:
+    def test_short_contract_fails_only_dense_row(self, taxonomy5):
+        per_contract = batch_detect(local_detectors(taxonomy5), queries(4, short={2}))
+        statuses = [[r.status for r in results] for results in per_contract]
+        assert statuses == [["ok"] * 3, ["ok"] * 3, ["failed", "ok", "ok"], ["ok"] * 3]
+        assert [[r.detector_name for r in results] for results in per_contract] \
+            == [["dense", "bm25", "slora"]] * 4
+
+    def test_results_match_one_contract_at_a_time(self, taxonomy5):
+        detectors = local_detectors(taxonomy5)
+        contracts = queries(4, short={0})
+        for contract, results in zip(contracts, batch_detect(detectors, contracts)):
+            alone = parallel_detect(detectors, contract)
+            for batched, single in zip(results, alone):
+                assert (batched.status, batched.error) == (single.status, single.error)
+                if batched.ok:
+                    assert np.abs(np.subtract(batched.probabilities,
+                                              single.probabilities)).max() <= 1e-15
+
+    def test_failing_mock_fails_only_its_rows(self):
+        detectors = [MockDetector([0.1, 0.9], name="good"),
+                     MockDetector([0.5, 0.5], name="bad", fail=True),
+                     MockDetector([0.3, 0.7], name="slow", delay=0.01)]
+        contracts = [Contract(id=f"c{i}", source="x;") for i in range(3)]
+        per_contract = batch_detect(detectors, contracts)
+        assert len(per_contract) == 3
+        for results in per_contract:
+            assert [r.detector_name for r in results] == ["good", "bad", "slow"]
+            assert [r.status for r in results] == ["ok", "failed", "ok"]
+            assert results[0].probabilities == (0.1, 0.9)
+            assert results[2].probabilities == (0.3, 0.7)
+            assert "configured to fail" in results[1].error
+
+    def test_whole_batch_failure_fails_every_row(self):
+        class Broken(Detector):
+            name = "broken"
+
+            def predict_batch(self, contracts):
+                raise RuntimeError("model not loaded")
+
+        contracts = [Contract(id=f"c{i}", source="x;") for i in range(3)]
+        per_contract = batch_detect([Broken(1), MockDetector([0.5])], contracts)
+        assert [results[0].error for results in per_contract] \
+            == ["RuntimeError: model not loaded"] * 3
+        assert all(results[1].ok for results in per_contract)
+
+    def test_all_failed_names_the_contract(self):
+        class FailsOn(Detector):
+            def __init__(self, name, bad_id):
+                super().__init__(num_labels=1)
+                self.name, self.bad_id = name, bad_id
+
+            def predict(self, contract):
+                if contract.id == self.bad_id:
+                    raise ValueError("no verdict")
+                return np.array([0.5])
+
+        contracts = [Contract(id=cid, source="x;") for cid in ("a", "b", "c")]
+        with pytest.raises(AllDetectorsFailed, match="contract 'b'"):
+            batch_detect([FailsOn("one", "b"), FailsOn("two", "b")], contracts)
+
+    def test_no_contracts(self):
+        assert batch_detect([MockDetector([0.5]), MockDetector([0.5], delay=0.01)], []) == []
+
+
+class TestWaitingDetectorPool:
+    def test_one_request_in_flight_per_waiting_detector(self, taxonomy5, mock_endpoint):
+        lock = threading.Lock()
+
+        def endpoint_state():
+            return {"in_flight": 0, "peak": 0, "sources": []}
+
+        def handler(state):
+            def reply(body):
+                with lock:
+                    state["in_flight"] += 1
+                    state["peak"] = max(state["peak"], state["in_flight"])
+                    state["sources"].append(body["source"])
+                time.sleep(0.05)
+                with lock:
+                    state["in_flight"] -= 1
+                return 200, {"probabilities": [0.5] * 5}
+            return reply
+
+        class Recorded(ExternalDetector):
+            def predict(self, contract):
+                self.threads.add(threading.get_ident())
+                return super().predict(contract)
+
+        states = [endpoint_state(), endpoint_state()]
+        contracts = [Contract(id=f"c{i}", source=f"s{i};") for i in range(5)]
+        with mock_endpoint(handler(states[0])) as ep0, mock_endpoint(handler(states[1])) as ep1:
+            remotes = [Recorded(ep.url, taxonomy5, timeout=5.0, retries=0, name=f"r{i}")
+                       for i, ep in enumerate((ep0, ep1))]
+            for remote in remotes:
+                remote.threads = set()
+            busy = Busy()
+            start = time.perf_counter()
+            per_contract = batch_detect([remotes[0], busy, remotes[1]], contracts)
+            wall = time.perf_counter() - start
+        assert all(r.ok for results in per_contract for r in results)
+        for state in states:
+            assert state["peak"] == 1
+            assert state["sources"] == [c.source for c in contracts]
+        caller = threading.get_ident()
+        assert busy.thread == caller
+        assert all(len(r.threads) == 1 and caller not in r.threads for r in remotes)
+        assert remotes[0].threads != remotes[1].threads
+        # the two detectors' waits overlap: 5 requests of 50 ms in a row, not 10
+        assert wall < 0.45

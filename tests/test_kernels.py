@@ -1,10 +1,12 @@
 """Hot paths against naive oracles written out in the tests.
 
-Covers BM25 tokenization, postings construction and scoring, hashed adapter
-features, adapter mask selection and the masked sparse matmul. Each oracle is
-the slow, obvious formulation of the same quantity.
+Covers BM25 tokenization, postings construction and scoring, the signed
+feature hash, hashed adapter features and fragment embeddings, adapter mask
+selection and the masked sparse matmul. Each oracle is the slow, obvious
+formulation of the same quantity.
 """
 
+import hashlib
 import math
 import re
 from collections import Counter
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vulnfuse.bm25 import DEFAULT_KEYWORDS, Bm25Index, tokenize
-from vulnfuse.corpus import LabelVector, signed_bucket, word_tokens
+from vulnfuse.corpus import LabelVector, signed_buckets, word_tokens
+from vulnfuse.dense import HashingEmbedder
 from vulnfuse.slora import HashedFeatureExtractor, sparse_forward, sparsify
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
@@ -53,14 +56,35 @@ def oracle_tokenize(source, keywords):
     return out
 
 
+def oracle_signed_bucket(text, dim, key=b""):
+    """Bucket and sign of one text from its own keyed blake2b digest."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8, key=key).digest()
+    h = int.from_bytes(digest, "big")
+    return h % dim, (1.0 if (h >> 63) & 1 == 0 else -1.0)
+
+
 def oracle_extract(extractor, source):
     """Hashed features accumulated one token at a time."""
     vec = np.zeros(extractor.dim)
     for token in word_tokens(source):
-        idx, sign = signed_bucket(token, extractor.dim, extractor._key)
+        idx, sign = oracle_signed_bucket(token, extractor.dim, extractor._key)
         vec[idx] += sign
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
+
+
+def oracle_embed(embedder, text):
+    """Signed gram counts one gram at a time; unsigned counts if they cancel."""
+    tokens = word_tokens(text)
+    grams = [" ".join(tokens[i:i + 3]) for i in range(len(tokens) - 2)] or [" ".join(tokens)]
+    vec = np.zeros(embedder.dim)
+    for gram in grams:
+        idx, sign = oracle_signed_bucket(gram, embedder.dim)
+        vec[idx] += sign
+    if np.linalg.norm(vec) == 0.0:
+        for gram in grams:
+            vec[oracle_signed_bucket(gram, embedder.dim)[0]] += 1.0
+    return vec / np.linalg.norm(vec)
 
 
 def oracle_postings(docs):
@@ -160,6 +184,32 @@ class TestKernelEquivalence:
 
 
 class TestRewrittenLoops:
+    @PROPERTY
+    @given(texts=st.lists(st.text(max_size=12), max_size=20),
+           dim=st.one_of(st.sampled_from([1, 2, 3, 7, 64, 100, 256, 2**32 + 1, 2**63 - 1]),
+                         st.integers(1, 2**63 - 1)),
+           key=st.one_of(st.just(b""), st.binary(min_size=1, max_size=64)))
+    @example(texts=["", "é", "日本語", "a b c", "\x00"], dim=1, key=b"")
+    @example(texts=["tok"], dim=3, key=(7).to_bytes(8, "big"))
+    def test_signed_buckets_match_scalar_hash(self, texts, dim, key):
+        idx, signs = signed_buckets(texts, dim, key)
+        assert idx.dtype == np.int64 and signs.dtype == np.float64
+        want = [oracle_signed_bucket(t, dim, key) for t in texts]
+        assert list(zip(idx.tolist(), signs.tolist())) == want
+
+    @PROPERTY
+    @given(text=SOURCE_TEXT.filter(lambda t: word_tokens(t)), dim=st.integers(1, 300))
+    @example(text="one two three alpha", dim=2)   # the two grams cancel in bucket 1
+    def test_embed_matches_per_gram_loop(self, text, dim):
+        embedder = HashingEmbedder(dim)
+        assert same_bits(embedder.embed(text), oracle_embed(embedder, text))
+
+    def test_cancelling_grams_fall_back_to_unsigned_counts(self):
+        embedder = HashingEmbedder(2)
+        grams = embedder._grams("one two three alpha")
+        assert [oracle_signed_bucket(g, 2) for g in grams] == [(1, 1.0), (1, -1.0)]
+        assert embedder.embed("one two three alpha").tolist() == [0.0, 1.0]
+
     @PROPERTY
     @given(source=SOURCE_TEXT, keywords=KEYWORDS)
     @example(source="tx.origin tx TX.ORIGIN call Call delegatecall", keywords=["tx", "tx.origin"])

@@ -271,27 +271,27 @@ class TestVerify:
             ok_result("two", [0.0, 0.0, 0.0]),
             ok_result("three", [1.0, 1.0, 1.0]),
         ]
-        labels, probs = verify(learner, results)
+        ((labels, probs),) = verify(learner, [results])
         assert labels.bits == (1, 0, 1)  # 0.5 hits the >= boundary
 
     def test_boundary_is_inclusive(self):
         learner = passthrough_learner()
         results = [ok_result("one", [0.5]), ok_result("two", [0.0]), ok_result("three", [0.0])]
-        labels, probs = verify(learner, results)
+        ((labels, probs),) = verify(learner, [results])
         assert probs[0] == 0.5
         assert labels.bits == (1,)
 
     def test_failed_detector_imputed(self):
         learner = passthrough_learner()
         results = [failed_result("one"), ok_result("two", [0.9]), ok_result("three", [0.9])]
-        labels, probs = verify(learner, results)
+        ((labels, probs),) = verify(learner, [results])
         # imputed 0.5 reaches the pass-through threshold exactly
         assert probs[0] == 0.5
 
     def test_all_failed(self):
         learner = passthrough_learner()
         with pytest.raises(AllDetectorsFailed):
-            verify(learner, [failed_result("a"), failed_result("b")])
+            verify(learner, [[failed_result("a"), failed_result("b")]])
 
     def test_trained_consensus_positive(self):
         rng = np.random.default_rng(11)
@@ -301,17 +301,18 @@ class TestVerify:
         rows = np.stack([noisy, truth, np.clip(truth + rng.normal(0, 0.3, n), 0, 1)], axis=1)
         learner, _ = train_meta(rows, truth, MetaTrainConfig(learning_rate=0.1, epochs=200, seed=1))
         results = [ok_result("a", [1.0]), ok_result("b", [1.0]), ok_result("c", [1.0])]
-        labels, _ = verify(learner, results)
+        ((labels, _),) = verify(learner, [results])
         assert labels.bits == (1,)
 
     def test_shape_mismatch_rejected(self):
         learner = passthrough_learner()
         with pytest.raises(ShapeError, match="fuses 3 detectors"):
-            verify(learner, [ok_result("a", [0.9]), ok_result("b", [0.9])])
+            verify(learner, [[ok_result("a", [0.9]), ok_result("b", [0.9])]])
         with pytest.raises(ShapeError, match="'c' returned 2"):
-            verify(learner, [ok_result("a", [0.9]), failed_result("b"), ok_result("c", [0.9, 0.1])])
+            verify(learner, [[ok_result("a", [0.9]), failed_result("b"),
+                              ok_result("c", [0.9, 0.1])]])
 
-    def test_one_forward_call_per_contract(self, monkeypatch):
+    def test_one_forward_call_for_all_contracts(self, monkeypatch):
         calls = []
         real = meta.meta_forward
 
@@ -320,9 +321,37 @@ class TestVerify:
             return real(learner, raw)
 
         monkeypatch.setattr(meta, "meta_forward", counting)
-        results = [ok_result("a", [0.1] * 5), failed_result("b"), ok_result("c", [0.9] * 5)]
-        verify(init_meta(psi=3, seed=3), results)
-        assert calls == [(5, 3)]
+        per_contract = [
+            [ok_result("a", [0.1] * 5), failed_result("b"), ok_result("c", [0.9] * 5)],
+            [failed_result("a"), ok_result("b", [0.3] * 5), ok_result("c", [0.7] * 5)],
+        ]
+        assert len(verify(init_meta(psi=3, seed=3), per_contract)) == 2
+        assert calls == [(10, 3)]
+
+    def test_all_failed_on_one_contract_of_many(self):
+        per_contract = [[ok_result("a", [0.9]), ok_result("b", [0.9]), ok_result("c", [0.9])],
+                        [failed_result("a"), failed_result("b"), failed_result("c")]]
+        with pytest.raises(AllDetectorsFailed):
+            verify(passthrough_learner(), per_contract)
+
+    def test_no_contracts(self):
+        assert verify(passthrough_learner(), []) == []
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), num_labels=st.integers(1, 6))
+    def test_batch_matches_one_contract_at_a_time(self, seed, n, num_labels):
+        rng = np.random.default_rng(seed)
+        learner = init_meta(psi=3, seed=seed)
+        per_contract = [
+            [failed_result(f"d{i}") if rng.random() < 0.3 and i else
+             ok_result(f"d{i}", rng.random(num_labels).tolist()) for i in range(3)]
+            for _ in range(n)
+        ]
+        batched = verify(learner, per_contract, 0.5)
+        for results, (labels, probs) in zip(per_contract, batched):
+            ((one_labels, one_probs),) = verify(learner, [results], 0.5)
+            assert max(abs(a - b) for a, b in zip(probs, one_probs)) <= 1e-15
+            assert labels.bits == one_labels.bits or min(abs(p - 0.5) for p in probs) <= 1e-15
 
 
 class TestVerifyMatchesPerCellOracle:
@@ -350,7 +379,7 @@ class TestVerifyMatchesPerCellOracle:
                                             max_size=num_labels)))
             for i, fail in enumerate(failed)
         ]
-        labels, probs = verify(learner, results, threshold)
+        ((labels, probs),) = verify(learner, [results], threshold)
         raw = np.array([r.probabilities if r.ok else [0.5] * num_labels for r in results])
         want = [oracle_forward(learner, raw[:, j]) for j in range(num_labels)]
         assert len(probs) == num_labels
