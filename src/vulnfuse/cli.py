@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                     overrides=("epochs", "threshold"))
     _add_stage_args(sub.add_parser("detect",
                                    help="run all detectors plus verification on the test set"),
-                    overrides=("k", "vote_threshold", "threshold", "endpoint"))
+                    overrides=("k", "vote_threshold", "endpoint"))
     _add_stage_args(sub.add_parser("evaluate", help="score detections against ground truth"))
     report_parser = sub.add_parser("report", help="render Markdown vulnerability reports")
     _add_stage_args(report_parser, overrides=("endpoint",))

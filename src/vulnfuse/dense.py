@@ -79,7 +79,7 @@ def segment(source: str, params: SegmentationParams = SegmentationParams(), *,
 
 
 def expected_fragment_count(source_len: int, params: SegmentationParams) -> int:
-    """ceil((L - o)/(s - o)) for sources at least one window long."""
+    """ceil((L - o)/(s - o)) for sources at least one window long and min_len <= o + 1."""
     stride = params.window - params.overlap
     return -(-(source_len - params.overlap) // stride)
 

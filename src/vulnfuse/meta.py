@@ -17,12 +17,13 @@ import numpy as np
 from .corpus import LabelVector
 from .detectors import DetectionResult
 from .errors import AllDetectorsFailed, EmptyDataset, InvalidParameter, NumericError, ShapeError
-from .slora import bce_loss, sigmoid
+from .sgd import bce_loss, fit, sigmoid
 
 DEFAULT_HIDDEN1 = 16
 DEFAULT_HIDDEN2 = 8
 DEFAULT_THRESHOLD = 0.5
 IMPUTED_PROBABILITY = 0.5  # stands in for a failed detector
+FIELDS = ("w", "w1", "b1", "w2", "b2", "w3", "b3")  # the trained arrays of a MetaLearner
 
 
 @dataclass
@@ -100,22 +101,29 @@ class MetaTrainResult:
     loss_trace: list[float] = field(default_factory=list)
 
 
-def _batch_grads(learner: MetaLearner, raw, y):
+def _batch_grads(learner: MetaLearner, raw, y, out: Optional[dict] = None):
+    """Mean BCE over the batch and the gradient of every learner field.
+
+    With `out`, a dict of arrays shaped like the fields, the gradients are
+    written into it and the batch probabilities come back in place of the
+    loss, which the training loop takes once per epoch.
+    """
+    fresh = out is None
+    if fresh:
+        out = dict.fromkeys(FIELDS)
     n = raw.shape[0]
     fused, z1, a1, z2, a2, p = _forward_batch(learner, raw)
-    loss = bce_loss(y, p)
     d3 = ((p - y) / n)[:, None]                      # n x 1
-    gw3 = d3.T @ a2
-    gb3 = d3.sum(axis=0)
+    out["w3"] = np.matmul(d3.T, a2, out=out["w3"])
+    out["b3"] = np.add.reduce(d3, 0, out=out["b3"])
     d2 = (d3 @ learner.w3) * (z2 > 0.0)              # n x h2
-    gw2 = d2.T @ a1
-    gb2 = d2.sum(axis=0)
+    out["w2"] = np.matmul(d2.T, a1, out=out["w2"])
+    out["b2"] = np.add.reduce(d2, 0, out=out["b2"])
     d1 = (d2 @ learner.w2) * (z1 > 0.0)              # n x h1
-    gw1 = d1.T @ fused
-    gb1 = d1.sum(axis=0)
-    gw = ((d1 @ learner.w1) * raw).sum(axis=0)       # fusion weights
-    return loss, {"w": gw, "w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2,
-                  "w3": gw3, "b3": gb3}
+    out["w1"] = np.matmul(d1.T, fused, out=out["w1"])
+    out["b1"] = np.add.reduce(d1, 0, out=out["b1"])
+    out["w"] = np.add.reduce((d1 @ learner.w1) * raw, 0, out=out["w"])  # fusion weights
+    return (bce_loss(y, p) if fresh else p), out
 
 
 def train_meta(rows: np.ndarray, targets: np.ndarray,
@@ -124,7 +132,8 @@ def train_meta(rows: np.ndarray, targets: np.ndarray,
     """Fit the learner by mini-batch gradient descent on BCE; seed-deterministic.
 
     `rows` holds one length-psi base-prediction vector per (contract, label)
-    pair; `targets` the matching truth bits.
+    pair; `targets` the matching truth bits. Runs `sgd.fit`, the adapter's
+    loop too; a learner passed in is trained in place and returned.
     """
     rows = np.asarray(rows, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).ravel()
@@ -134,26 +143,10 @@ def train_meta(rows: np.ndarray, targets: np.ndarray,
         raise ShapeError("rows and targets must have the same length")
     if learner is None:
         learner = init_meta(psi=rows.shape[1], seed=config.seed)
-    rng = np.random.default_rng(config.seed)
-    n = rows.shape[0]
-    result = MetaTrainResult()
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss, grads = _batch_grads(learner, rows[idx], targets[idx])
-            total += loss * len(idx)
-            eta = config.learning_rate
-            learner.w -= eta * grads["w"]
-            learner.w1 -= eta * grads["w1"]
-            learner.b1 -= eta * grads["b1"]
-            learner.w2 -= eta * grads["w2"]
-            learner.b2 -= eta * grads["b2"]
-            learner.w3 -= eta * grads["w3"]
-            learner.b3 -= eta * grads["b3"]
-        result.loss_trace.append(total / n)
-    return learner, result
+    params = {name: (learner, name) for name in FIELDS}
+    trace = fit(params, lambda xb, yb, out: _batch_grads(learner, xb, yb, out)[0],
+                rows, targets, config)
+    return learner, MetaTrainResult(loss_trace=trace)
 
 
 def adapt_to_task(w: np.ndarray, task_loss_and_grad: Callable, lam: float,

@@ -46,6 +46,7 @@ ARTIFACTS = {
     "slora_ckpt": "slora_ckpt.npz",
     "slora_loss": "slora_loss.csv",
     "meta_ckpt": "meta_ckpt.npz",
+    "meta_loss": "meta_loss.csv",
     "meta_rows": "meta_rows.csv",
     "results": "results.jsonl",
     "timings": "timings.json",
@@ -175,15 +176,19 @@ def stage_train_slora(config: PipelineConfig, workdir) -> dict:
     result = slora_mod.train(layer, head, x, y, train_cfg, val=val)
     slora_mod.save_checkpoint(_artifact(workdir, "slora_ckpt"), layer, head,
                               extractor, train.taxonomy)
-    trace_path = _artifact(workdir, "slora_loss")
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss" + (",val_loss" if result.val_trace else "") + "\n")
-        for i, loss in enumerate(result.loss_trace):
-            row = f"{i},{loss:.8f}"
-            if result.val_trace:
-                row += f",{result.val_trace[i]:.8f}"
-            fh.write(row + "\n")
+    _write_loss_trace(_artifact(workdir, "slora_loss"), result.loss_trace, result.val_trace)
     return {"epochs_run": result.epochs_run, "final_loss": result.loss_trace[-1]}
+
+
+def _write_loss_trace(path, train_loss, val_loss=()) -> None:
+    """CSV of the per-epoch losses; the val_loss column only when there is one."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("epoch,train_loss" + (",val_loss" if val_loss else "") + "\n")
+        for i, loss in enumerate(train_loss):
+            row = f"{i},{loss:.8f}"
+            if val_loss:
+                row += f",{val_loss[i]:.8f}"
+            fh.write(row + "\n")
 
 
 def build_detectors(config: PipelineConfig, taxonomy, workdir) -> list:
@@ -242,6 +247,7 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
                                    h2=config.meta.hidden2, seed=config.seed),
     )
     meta_mod.save_meta(_artifact(workdir, "meta_ckpt"), learner, config.meta.threshold)
+    _write_loss_trace(_artifact(workdir, "meta_loss"), result.loss_trace)
     meta_mod.export_rows_csv(_artifact(workdir, "meta_rows"), rows, targets,
                              [d.name for d in detectors])
     return {"rows": rows.shape[0], "final_loss": result.loss_trace[-1]}

@@ -20,8 +20,7 @@ import numpy as np
 
 from .corpus import Dataset, signed_buckets, word_tokens
 from .errors import EmptyDataset, InvalidParameter, ShapeError
-
-BCE_EPS = 1e-7
+from .sgd import bce_loss, fit, sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -82,25 +81,25 @@ def active_entry_count(alpha: float, d2: int) -> int:
     return math.floor((Fraction(1) - Fraction(alpha)) * d2)
 
 
-def sparsify(s: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+def sparsify(s: np.ndarray, alpha: float, k: Optional[int] = None) -> tuple[np.ndarray, int]:
     """Mask keeping the k = floor((1-alpha)*d^2) largest |S| entries.
 
     Magnitude ties break by row-major position, so the mask is deterministic.
+    A caller masking the same shape repeatedly may pass k, computed once.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameter(f"sparsity level must be in [0, 1], got {alpha}")
-    k = active_entry_count(alpha, s.size)
-    mask = np.zeros(s.shape, dtype=np.uint8)
-    if k > 0:
-        magnitude = np.abs(s).ravel()
-        kth = np.partition(magnitude, magnitude.size - k)[magnitude.size - k]
-        above = magnitude > kth
-        # entries tied with the k-th largest fill the remaining slots in order
-        tied = np.flatnonzero(magnitude == kth)[:k - np.count_nonzero(above)]
-        flat = mask.ravel()
-        flat[above] = 1
-        flat[tied] = 1
-    return mask, k
+    if k is None:
+        k = active_entry_count(alpha, s.size)
+    if k == 0:
+        return np.zeros(s.shape, dtype=np.uint8), 0
+    magnitude = np.abs(s).ravel()
+    kth = np.partition(magnitude, magnitude.size - k)[magnitude.size - k]
+    above = magnitude > kth
+    mask = above.astype(np.uint8)
+    # entries tied with the k-th largest fill the remaining slots in order
+    mask[np.flatnonzero(magnitude == kth)[:k - np.count_nonzero(above)]] = 1
+    return mask.reshape(s.shape), k
 
 
 def lowrank_forward(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -144,28 +143,8 @@ def flop_count(layer: AdapterLayer, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# loss and head
+# head
 # ---------------------------------------------------------------------------
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign so exp never overflows."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def bce_loss(y, yhat) -> float:
-    """Multi-label binary cross-entropy, mean over labels."""
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise ShapeError(f"label/prediction length mismatch: {y.shape} vs {yhat.shape}")
-    p = np.clip(yhat, BCE_EPS, 1.0 - BCE_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
 
 @dataclass
 class ReadoutHead:
@@ -208,26 +187,32 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def batch_loss_and_grads(x, y, layer: AdapterLayer, head: ReadoutHead, mask: np.ndarray):
+def batch_loss_and_grads(x, y, layer: AdapterLayer, head: ReadoutHead, mask: np.ndarray,
+                         out: Optional[dict] = None):
     """Mean BCE over the batch and gradients for U, V, S, head.
 
-    Masked S entries get exactly zero gradient; W_q gets none at all.
+    Masked S entries get exactly zero gradient; W_q gets none at all. With
+    `out`, a dict of arrays shaped like the gradients, the gradients are
+    written into it and the batch probabilities come back in place of the
+    loss, which the training loop takes once per epoch.
     """
     n, num_labels = y.shape
-    h = x @ layer.w_q + lowrank_forward(x, layer.u, layer.v) \
-        + sparse_forward(x, layer.s, mask)
+    mask = mask.astype(np.float64)  # one cast serves S and its gradient
+    xu = x @ layer.u
+    h = x @ layer.w_q + xu @ layer.v + sparse_forward(x, layer.s, mask)
     probs = sigmoid(h @ head.w + head.b)
-    loss = bce_loss(y, probs)
 
+    fresh = out is None
+    if fresh:
+        out = dict.fromkeys(("u", "v", "s", "head_w", "head_b"))
     dz = (probs - y) / (n * num_labels)
-    grad_head_w = h.T @ dz
-    grad_head_b = dz.sum(axis=0)
+    out["head_w"] = np.matmul(h.T, dz, out=out["head_w"])
+    out["head_b"] = np.add.reduce(dz, 0, out=out["head_b"])
     g = dz @ head.w.T
-    grad_u = x.T @ (g @ layer.v.T)
-    grad_v = (x @ layer.u).T @ g
-    grad_s = (x.T @ g) * mask
-    return loss, {"u": grad_u, "v": grad_v, "s": grad_s,
-                  "head_w": grad_head_w, "head_b": grad_head_b}
+    out["u"] = np.matmul(x.T, g @ layer.v.T, out=out["u"])
+    out["v"] = np.matmul(xu.T, g, out=out["v"])
+    out["s"] = np.multiply(x.T @ g, mask, out=out["s"])
+    return (bce_loss(y, probs) if fresh else probs), out
 
 
 def train(layer: AdapterLayer, head: ReadoutHead, features: np.ndarray,
@@ -235,48 +220,45 @@ def train(layer: AdapterLayer, head: ReadoutHead, features: np.ndarray,
           val: Optional[tuple[np.ndarray, np.ndarray]] = None) -> TrainResult:
     """Mini-batch gradient descent on U, V, S and the head; W_q stays frozen.
 
-    The mask is recomputed from |S| before every batch. With a validation
-    pair and a patience setting, training stops once validation loss fails
-    to improve for that many consecutive epochs.
+    Runs `sgd.fit`, which updates the caller's layer and head arrays in
+    place. The mask is recomputed from |S| before every batch. With a
+    validation pair and a patience setting, training stops once validation
+    loss fails to improve for that many consecutive epochs; the last
+    epoch's weights are kept.
     """
     n = features.shape[0]
     if n == 0:
         raise EmptyDataset("no training samples")
     if labels.shape[0] != n:
         raise ShapeError("features and labels must have the same sample count")
-    rng = np.random.default_rng(config.seed)
-    eta = config.learning_rate
+    k = active_entry_count(layer.alpha, layer.s.size)
     result = TrainResult()
     best_val = math.inf
     stale = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = features[idx], labels[idx]
-            mask, _ = sparsify(layer.s, layer.alpha)
-            loss, grads = batch_loss_and_grads(xb, yb, layer, head, mask)
-            total += loss * len(idx)
-            layer.u -= eta * grads["u"]
-            layer.v -= eta * grads["v"]
-            layer.s -= eta * grads["s"]
-            head.w -= eta * grads["head_w"]
-            head.b -= eta * grads["head_b"]
-        result.loss_trace.append(total / n)
-        result.epochs_run += 1
-        if val is not None:
-            probs = classifier_probs(val[0], layer, head)
-            vloss = bce_loss(val[1].ravel(), probs.ravel())
-            result.val_trace.append(vloss)
-            if config.patience is not None:
-                if vloss < best_val - 1e-12:
-                    best_val = vloss
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= config.patience:
-                        break
+
+    def step(xb, yb, out):
+        mask, _ = sparsify(layer.s, layer.alpha, k)
+        return batch_loss_and_grads(xb, yb, layer, head, mask, out)[0]
+
+    def after_epoch() -> bool:
+        nonlocal best_val, stale
+        if val is None:
+            return False
+        vloss = bce_loss(val[1].ravel(), classifier_probs(val[0], layer, head).ravel())
+        result.val_trace.append(vloss)
+        if config.patience is None:
+            return False
+        if vloss < best_val - 1e-12:
+            best_val = vloss
+            stale = 0
+            return False
+        stale += 1
+        return stale >= config.patience
+
+    params = {"u": (layer, "u"), "v": (layer, "v"), "s": (layer, "s"),
+              "head_w": (head, "w"), "head_b": (head, "b")}
+    result.loss_trace = fit(params, step, features, labels, config, after_epoch)
+    result.epochs_run = len(result.loss_trace)
     return result
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import vulnfuse
+from vulnfuse import pipeline
 from vulnfuse.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
@@ -192,12 +193,19 @@ class TestOverrides:
 
     def test_fields_set(self, config_path):
         config = self._config("detect", "--config", config_path, "--seed", "5", "--k", "3",
-                              "--vote-threshold", "2", "--threshold", "0.7",
-                              "--endpoint", "http://x/")
+                              "--vote-threshold", "2", "--endpoint", "http://x/")
         assert (config.seed, config.bm25.top_k, config.bm25.vote_threshold) == (5, 3, 2)
-        assert config.meta.threshold == 0.7
         assert config.external.endpoint == "http://x/"
         assert config.external.report_endpoint is None
+        meta = self._config("train-meta", "--config", config_path, "--threshold", "0.7")
+        assert meta.meta.threshold == 0.7
+
+    def test_detect_rejects_threshold(self, config_path, capsys):
+        # detect reads the threshold that train-meta wrote into meta_ckpt.npz
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--config", config_path, "--threshold", "0.9"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--threshold" in capsys.readouterr().err
 
     def test_command_picks_field(self, config_path):
         meta = self._config("train-meta", "--config", config_path, "--epochs", "9")
@@ -283,9 +291,7 @@ class TestCliFlow:
         output = capsys.readouterr().out
         assert "verified" in output
         work_dir = Path(work)
-        for name in ("bm25_index.json", "dense_store.npz", "slora_ckpt.npz",
-                     "slora_loss.csv", "meta_ckpt.npz", "meta_rows.csv",
-                     "results.jsonl", "timings.json", "summary.json"):
+        for name in pipeline.ARTIFACTS.values():
             assert (work_dir / name).exists(), name
 
     def test_report_command(self, mini_project, capsys):

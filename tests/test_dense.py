@@ -79,12 +79,27 @@ class TestSegment:
         frags = segment(text_of_length(2500), SegmentationParams())
         assert len(frags) == 2
 
-    def test_count_matches_ceiling_formula(self):
-        p = SegmentationParams()
-        for length in range(1500, 9000, 137):
-            frags = segment(text_of_length(length), p)
-            want = expected_fragment_count(length, p)
-            assert len(frags) == want, f"L={length}"
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_count_matches_ceiling_formula(self, data):
+        """Any source at least a window long, with min_len <= overlap + 1.
+
+        A tail window that is not contained in the previous one is longer
+        than the overlap, so under that bound min_len drops no counted window.
+        """
+        if data is None:  # the defaults over a sweep of lengths
+            p = SegmentationParams()
+            lengths = range(1500, 9000, 137)
+        else:
+            window = data.draw(st.integers(2, 2000), label="window")
+            overlap = data.draw(st.integers(0, window - 1), label="overlap")
+            min_len = data.draw(st.integers(1, min(window, overlap + 1)), label="min_len")
+            p = SegmentationParams(window=window, overlap=overlap, min_len=min_len)
+            lengths = [data.draw(st.integers(window, 6 * window), label="length")]
+        for length in lengths:
+            frags = segment(text_of_length(length).ljust(length), p)
+            assert len(frags) == expected_fragment_count(length, p), f"L={length}"
 
     def test_min_length_invariant(self):
         p = SegmentationParams()

@@ -389,6 +389,32 @@ class TestVerifyMatchesPerCellOracle:
                 assert bit == (1 if expected >= threshold else 0)
 
 
+class TestVerifyImputesFailures:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), psi=st.integers(1, 4),
+           num_labels=st.integers(1, 6), data=st.data())
+    def test_failed_equals_explicit_half(self, seed, psi, num_labels, data):
+        """A failed detector verifies exactly as one that returned 0.5 for every label."""
+        learner = init_meta(psi=psi, seed=seed)
+        probability = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        contracts = data.draw(st.integers(1, 5), label="contracts")
+        failed, imputed = [], []
+        for _ in range(contracts):
+            flags = data.draw(st.lists(st.booleans(), min_size=psi, max_size=psi)
+                              .filter(lambda f: not all(f)), label="failed")
+            probs = [data.draw(st.lists(probability, min_size=num_labels, max_size=num_labels))
+                     for _ in range(psi)]
+            failed.append([failed_result(f"d{i}") if fail else ok_result(f"d{i}", p)
+                           for i, (fail, p) in enumerate(zip(flags, probs))])
+            imputed.append([ok_result(f"d{i}", [0.5] * num_labels if fail else p)
+                            for i, (fail, p) in enumerate(zip(flags, probs))])
+        got = verify(learner, failed, num_labels=num_labels)
+        want = verify(learner, imputed, num_labels=num_labels)
+        assert [labels.bits for labels, _ in got] == [labels.bits for labels, _ in want]
+        assert [np.asarray(p).tobytes() for _, p in got] == \
+            [np.asarray(p).tobytes() for _, p in want]
+
+
 class TestRowsAndPersistence:
     def test_rows_from_results(self, taxonomy5):
         per_contract = [

@@ -76,3 +76,12 @@ def test_wrong_label_length_rejected_in_evaluate(project):
         fh.write(json.dumps({"id": "extra", "source": "contract X {}", "labels": [1, 0]}) + "\n")
     with pytest.raises(SchemaError, match="2 labels for taxonomy of 5"):
         pipeline.stage_evaluate(project["config"], project["work"])
+
+
+def test_train_meta_writes_loss_trace(project):
+    config, work = project["config"], project["work"]
+    summary = pipeline.stage_train_meta(config, work)
+    lines = (Path(work) / pipeline.ARTIFACTS["meta_loss"]).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "epoch,train_loss"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(config.meta.epochs)]
+    assert lines[-1] == f"{config.meta.epochs - 1},{summary['final_loss']:.8f}"
