@@ -179,6 +179,11 @@ def load_config(path) -> PipelineConfig:
             if bad:
                 raise ConfigError(f"{kind} detector spec sets invalid values for {bad}",
                                   keys=["detectors"])
+        # results and timings key by name; a mock is named by its spec, others by kind
+        names = [spec.get("name", "mock") if spec["kind"] == "mock" else spec["kind"]
+                 for spec in detectors]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"detector names must be unique, got {names}", keys=["detectors"])
         config.detectors = tuple(detectors)
     return config
 

@@ -1,10 +1,11 @@
 """Uniform detector interface and concurrent dispatch.
 
 Every detector maps a contract to a per-label probability vector, and a
-batch of contracts to one row per contract. Retrieval detectors emit their
+batch of contracts to one row per contract; `batch_detect` stacks every
+detector's rows into one `Detections` record. Retrieval detectors emit their
 binary votes as 0.0/1.0; the adapter classifier emits sigmoid outputs; the
 external detector forwards to an HTTP endpoint speaking the JSON wire
-protocol documented in the README. A failing detector yields failed results
+protocol documented in the README. A failing detector yields failed rows
 and never blocks the others.
 """
 
@@ -23,21 +24,22 @@ import numpy as np
 from .bm25 import Bm25Index, bm25_retrieve, bm25_vote
 from .corpus import Contract
 from .dense import HashingEmbedder, SegmentationParams, VectorStore, dense_retrieve, dense_vote
-from .errors import AllDetectorsFailed, SchemaError
+from .errors import AllDetectorsFailed, SchemaError, ShapeError
 from .slora import AdapterLayer, HashedFeatureExtractor, ReadoutHead, classifier_probs
 
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """One detector's verdict on one contract, from `detect`."""
+
     detector_name: str
-    probabilities: Optional[tuple[float, ...]]  # None when status == "failed"
+    probabilities: Optional[tuple[float, ...]]  # None when the detector failed
     elapsed: float
-    status: str  # "ok" | "failed"
     error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.error is None
 
 
 def _failure(exc: Exception) -> str:
@@ -196,77 +198,94 @@ class ExternalDetector(Detector):
         raise last
 
 
-def _result(name: str, probs, error: Optional[str], elapsed: float) -> DetectionResult:
-    if error is not None:
-        return DetectionResult(detector_name=name, probabilities=None, elapsed=elapsed,
-                               status="failed", error=error)
-    return DetectionResult(detector_name=name,
-                           probabilities=tuple(np.asarray(probs, dtype=np.float64).tolist()),
-                           elapsed=elapsed, status="ok")
-
-
 def detect(detector: Detector, contract: Contract) -> DetectionResult:
     """Run one detector on one contract, returning a failed result instead of raising."""
     start = time.perf_counter()
     try:
-        probs, error = detector.predict(contract), None
+        probs, error = tuple(np.asarray(detector.predict(contract), float).tolist()), None
     except Exception as exc:
         probs, error = None, _failure(exc)
-    return _result(detector.name, probs, error, time.perf_counter() - start)
+    return DetectionResult(detector.name, probs, time.perf_counter() - start, error)
 
 
-def _detect_rows(detector: Detector, contracts: Sequence[Contract]) -> list[DetectionResult]:
-    """One predict_batch call; each row's elapsed time is the batch's wall time over n.
+def _column(detector: Detector, contracts: Sequence[Contract]):
+    """One detector's (n, L) probabilities, per-contract errors, and wall time over n.
 
-    A detector that raises for the whole batch fails every row with that error.
+    A waiting detector walks the contracts through `detect`, one request in
+    flight; any other makes one `predict_batch` call, and if that raises,
+    every row fails with its error (probabilities None).
     """
     start = time.perf_counter()
-    try:
-        probs, errors = detector.predict_batch(contracts)
-    except Exception as exc:
-        probs, errors = None, [_failure(exc)] * len(contracts)
-    elapsed = (time.perf_counter() - start) / max(len(contracts), 1)
-    return [_result(detector.name, probs[i] if error is None else None, error, elapsed)
-            for i, error in enumerate(errors)]
+    if detector.waits:
+        results = [detect(detector, contract) for contract in contracts]
+        probs = np.full((len(contracts), detector.num_labels), np.nan)
+        for row, result in zip(probs, results):
+            if result.ok:
+                row[:] = result.probabilities
+        errors = [result.error for result in results]
+    else:
+        try:
+            probs, errors = detector.predict_batch(contracts)
+        except Exception as exc:
+            probs, errors = None, [_failure(exc)] * len(contracts)
+    return probs, errors, (time.perf_counter() - start) / max(len(contracts), 1)
 
 
-def _walk(detector: Detector, contracts: Sequence[Contract]) -> list[DetectionResult]:
-    """A waiting detector's contracts one at a time: one request in flight."""
-    return [detect(detector, contract) for contract in contracts]
+@dataclass(frozen=True)
+class Detections:
+    """Every detector's output on one batch of contracts, in configuration order."""
+
+    names: tuple[str, ...]
+    probs: np.ndarray                              # (psi, n, L); NaN in a failed row
+    errors: tuple[tuple[Optional[str], ...], ...]  # per detector, an error or None per contract
+    seconds: tuple[float, ...]                     # per detector, its wall time over n
+
+    @property
+    def failed(self) -> np.ndarray:
+        """(psi, n) mask of the rows a detector failed on."""
+        return np.array([[e is not None for e in errors] for errors in self.errors], dtype=bool)
 
 
-def batch_detect(detectors: Sequence[Detector],
-                 contracts: Sequence[Contract]) -> list[list[DetectionResult]]:
-    """Every detector on every contract: per contract, results in configuration order.
+def batch_detect(detectors: Sequence[Detector], contracts: Sequence[Contract],
+                 num_labels: int) -> Detections:
+    """Every detector on every contract, stacked into one record.
 
-    Compute-bound detectors run `predict_batch` in turn on the calling
-    thread: under the interpreter lock, threads would add only contention to
-    their Python work. Each waiting detector gets one pool thread, which
-    walks the contracts in order while the calling thread computes.
-    Raises AllDetectorsFailed, naming the contract, if one contract fails on
-    every detector.
+    Compute-bound detectors run in turn on the calling thread: under the
+    interpreter lock, threads would add only contention to their Python
+    work. Each waiting detector gets one pool thread, which walks the
+    contracts in order while the calling thread computes. Raises ShapeError,
+    naming the detector, for a column that is not (n, num_labels), and
+    AllDetectorsFailed, naming the contract, if one contract fails on every
+    detector.
     """
     if not detectors:
         raise AllDetectorsFailed("no detectors configured")
-    columns = [None] * len(detectors)
+    n = len(contracts)
     with ThreadPoolExecutor(max_workers=max(1, sum(d.waits for d in detectors))) as pool:
-        waiting = {i: pool.submit(_walk, det, contracts)
+        waiting = {i: pool.submit(_column, det, contracts)
                    for i, det in enumerate(detectors) if det.waits}
-        for i, det in enumerate(detectors):
-            if i not in waiting:
-                columns[i] = _detect_rows(det, contracts)
-        for i, future in waiting.items():
-            columns[i] = future.result()
-    per_contract = [list(row) for row in zip(*columns)]
-    for contract, results in zip(contracts, per_contract):
-        if all(r.status == "failed" for r in results):
-            raise AllDetectorsFailed(
-                f"every detector failed on contract {contract.id!r}: "
-                + "; ".join(f"{r.detector_name}: {r.error}" for r in results)
-            )
-    return per_contract
+        columns = {i: _column(det, contracts)
+                   for i, det in enumerate(detectors) if not det.waits}
+        columns.update((i, future.result()) for i, future in waiting.items())
+    names = tuple(d.name for d in detectors)
+    probs, errors, seconds = zip(*(columns[i] for i in range(len(detectors))))
+    probs = [np.full((n, num_labels), np.nan) if p is None else np.asarray(p, dtype=np.float64)
+             for p in probs]
+    for name, column, errs in zip(names, probs, errors):
+        if column.shape != (n, num_labels) or len(errs) != n:
+            raise ShapeError(f"detector {name!r} returned probabilities of shape "
+                             f"{column.shape} for {n} contracts, expected {(n, num_labels)}")
+    record = Detections(names, np.stack(probs), tuple(map(tuple, errors)), seconds)
+    everywhere = np.flatnonzero(record.failed.all(axis=0))
+    if everywhere.size:
+        j = everywhere[0]
+        raise AllDetectorsFailed(
+            f"every detector failed on contract {contracts[j].id!r}: "
+            + "; ".join(f"{name}: {errs[j]}" for name, errs in zip(names, errors))
+        )
+    return record
 
 
-def parallel_detect(detectors: Sequence[Detector], contract: Contract) -> list[DetectionResult]:
-    """`batch_detect` on one contract; results follow configuration order."""
-    return batch_detect(detectors, [contract])[0]
+def parallel_detect(detectors: Sequence[Detector], contract: Contract) -> Detections:
+    """`batch_detect` on one contract, at the first detector's label count."""
+    return batch_detect(detectors, [contract], detectors[0].num_labels if detectors else 0)

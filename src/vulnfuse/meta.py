@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .corpus import LabelVector
-from .detectors import DetectionResult
-from .errors import AllDetectorsFailed, EmptyDataset, InvalidParameter, NumericError, ShapeError
+from .detectors import Detections
+from .errors import EmptyDataset, InvalidParameter, NumericError, ShapeError
 from .sgd import bce_loss, fit, sigmoid
 
 DEFAULT_HIDDEN1 = 16
@@ -187,51 +187,25 @@ def adapt_to_task(w: np.ndarray, task_loss_and_grad: Callable, lam: float,
     return v
 
 
-def _detector_matrix(results: Sequence[DetectionResult], num_labels: int) -> np.ndarray:
-    """(detectors, num_labels) probabilities of one contract; 0.5 for a failed detector."""
-    raw = np.full((len(results), num_labels), IMPUTED_PROBABILITY)
-    for i, r in enumerate(results):
-        if r.ok:
-            if len(r.probabilities) != num_labels:
-                raise ShapeError(
-                    f"detector {r.detector_name!r} returned {len(r.probabilities)} "
-                    f"probabilities, expected {num_labels}"
-                )
-            raw[i] = r.probabilities
-    return raw
+def _rows(record: Detections) -> np.ndarray:
+    """(n * L, psi): each contract's label rows in turn; 0.5 where a detector failed.
 
-
-def _stacked_rows(per_contract_results: Sequence[Sequence[DetectionResult]],
-                  label_counts: Sequence[int]) -> np.ndarray:
-    """(sum of label counts, detectors): each contract's label rows in turn."""
-    return np.concatenate([_detector_matrix(results, n).T
-                           for results, n in zip(per_contract_results, label_counts)])
-
-
-def verify(learner: MetaLearner, per_contract: Sequence[Sequence[DetectionResult]],
-           threshold: float = DEFAULT_THRESHOLD, num_labels: Optional[int] = None,
-           ) -> list[tuple[LabelVector, tuple[float, ...]]]:
-    """Fuse each contract's per-label base predictions into final labels and probabilities.
-
-    One forward pass covers the label rows of every contract. Failed
-    detectors contribute the uninformative probability 0.5. A label is set
-    when the meta probability reaches the threshold (>= rule).
+    A NaN from a detector that reported no error is not imputed.
     """
-    counts = []
-    for results in per_contract:
-        ok = [r for r in results if r.ok]
-        if not ok:
-            raise AllDetectorsFailed("no successful detector results to verify")
-        counts.append(num_labels if num_labels is not None else len(ok[0].probabilities))
-    if not counts:
-        return []
-    probs = meta_forward(learner, _stacked_rows(per_contract, counts))
-    out = []
-    for row in np.split(probs, np.cumsum(counts)[:-1]):
-        row_probs = tuple(row.tolist())
-        bits = tuple(1 if p >= threshold else 0 for p in row_probs)
-        out.append((LabelVector(bits=bits), row_probs))
-    return out
+    raw = np.where(record.failed[:, :, None], IMPUTED_PROBABILITY, record.probs)
+    return raw.transpose(1, 2, 0).reshape(-1, len(record.names))
+
+
+def verify(learner: MetaLearner, record: Detections,
+           threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+    """Fuse the base predictions into (n, L) arrays of final labels and probabilities.
+
+    One forward pass covers every (contract, label) cell. Failed detectors
+    contribute the uninformative probability 0.5. A label is set when the
+    meta probability reaches the threshold (>= rule).
+    """
+    probs = meta_forward(learner, _rows(record)).reshape(record.probs.shape[1:])
+    return (probs >= threshold).astype(np.int64), probs
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +242,13 @@ def export_rows_csv(path, rows: np.ndarray, targets: np.ndarray,
         fh.write("\n".join(lines) + "\n")
 
 
-def rows_from_results(per_contract_results: Sequence[Sequence[DetectionResult]],
+def rows_from_results(record: Detections,
                       truths: Sequence[LabelVector]) -> tuple[np.ndarray, np.ndarray]:
     """Build (rows, targets): one row per (contract, label) cell."""
-    if len(per_contract_results) != len(truths):
+    n, num_labels = record.probs.shape[1:]
+    targets = np.asarray([bit for truth in truths for bit in truth.bits], dtype=np.float64)
+    if len(truths) != n or targets.size != n * num_labels:
         raise ShapeError("results and truths must align")
-    targets = [bit for truth in truths for bit in truth.bits]
-    if not targets:
+    if not targets.size:
         raise EmptyDataset("no meta-training rows")
-    rows = _stacked_rows(per_contract_results, [len(truth) for truth in truths])
-    return rows, np.asarray(targets, dtype=np.float64)
+    return _rows(record), targets

@@ -233,8 +233,8 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
     Path(workdir).mkdir(parents=True, exist_ok=True)
     detectors = build_detectors(config, train.taxonomy, workdir)
     labeled = [c for c in holdout if c.labels is not None]
-    per_contract = batch_detect(detectors, labeled)
-    rows, targets = meta_mod.rows_from_results(per_contract, [c.labels for c in labeled])
+    record = batch_detect(detectors, labeled, len(train.taxonomy))
+    rows, targets = meta_mod.rows_from_results(record, [c.labels for c in labeled])
     learner, result = meta_mod.train_meta(
         rows, targets,
         meta_mod.MetaTrainConfig(
@@ -248,8 +248,7 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
     )
     meta_mod.save_meta(_artifact(workdir, "meta_ckpt"), learner, config.meta.threshold)
     _write_loss_trace(_artifact(workdir, "meta_loss"), result.loss_trace)
-    meta_mod.export_rows_csv(_artifact(workdir, "meta_rows"), rows, targets,
-                             [d.name for d in detectors])
+    meta_mod.export_rows_csv(_artifact(workdir, "meta_rows"), rows, targets, record.names)
     return {"rows": rows.shape[0], "final_loss": result.loss_trace[-1]}
 
 
@@ -257,30 +256,23 @@ def stage_detect(config: PipelineConfig, workdir) -> dict:
     test = _load_split(config, "test")
     detectors = build_detectors(config, test.taxonomy, workdir)
     learner, threshold = meta_mod.load_meta(_require(workdir, "meta_ckpt", "train-meta"))
-    per_contract = batch_detect(detectors, test.contracts)
+    record = batch_detect(detectors, test.contracts, len(test.taxonomy))
     verify_start = time.perf_counter()
-    verified = meta_mod.verify(learner, per_contract, threshold, num_labels=len(test.taxonomy))
+    labels, verified = meta_mod.verify(learner, record, threshold)
     verify_s = time.perf_counter() - verify_start
-    elapsed = {d.name: [] for d in detectors}
-    lines = []
-    for contract, results, (labels, probs) in zip(test, per_contract, verified):
-        for r in results:
-            elapsed[r.detector_name].append(r.elapsed)
-        lines.append(json.dumps({
-            "id": contract.id,
-            "detectors": {
-                r.detector_name: (list(r.probabilities) if r.ok else None)
-                for r in results
-            },
-            "verified_labels": list(labels.bits),
-            "verified_probabilities": list(probs),
-        }, sort_keys=True))
+    probs, failed = record.probs.tolist(), record.failed.tolist()
+    labels, verified = labels.tolist(), verified.tolist()
+    lines = [json.dumps({
+        "id": contract.id,
+        "detectors": {name: (None if failed[d][i] else probs[d][i])
+                      for d, name in enumerate(record.names)},
+        "verified_labels": labels[i],
+        "verified_probabilities": verified[i],
+    }, sort_keys=True) for i, contract in enumerate(test)]
+    _artifact(workdir, "results").write_text("\n".join(lines) + "\n", encoding="utf-8")
     # like each detector's, the one verify call's wall time over the contracts
-    elapsed["verified"] = [verify_s / len(test)] if len(test) else []
-    results_path = _artifact(workdir, "results")
-    results_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    timings = {name: (sum(vals) / len(vals) if vals else 0.0)
-               for name, vals in elapsed.items()}
+    timings = {**dict(zip(record.names, record.seconds)),
+               "verified": verify_s / len(test) if len(test) else 0.0}
     _artifact(workdir, "timings").write_text(
         json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return {"contracts": len(test), "mean_seconds": timings}

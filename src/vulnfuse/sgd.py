@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 BCE_EPS = 1e-7
 
@@ -49,7 +49,8 @@ def fit(params: dict, step: Callable, x: np.ndarray, y: np.ndarray, config,
     batch's gradients into the views in `out` and returns the batch
     probabilities, from which the loss is taken once per epoch. `config`
     supplies learning_rate, batch_size, epochs and seed. `after_epoch`
-    returning True ends training early.
+    returning True ends training early. Raises NumericError when an epoch's
+    loss is not finite, so a diverged run is never saved.
     """
     fields = list(params.values())
     originals = [getattr(owner, attr) for owner, attr in fields]
@@ -69,7 +70,7 @@ def fit(params: dict, step: Callable, x: np.ndarray, y: np.ndarray, config,
     probs = np.empty(y.shape)
     trace = []
     try:
-        for _ in range(config.epochs):
+        for epoch in range(config.epochs):
             order = rng.permutation(n)
             xe, ye = x[order], y[order]
             for start in starts:
@@ -77,6 +78,8 @@ def fit(params: dict, step: Callable, x: np.ndarray, y: np.ndarray, config,
                 probs[start:stop] = step(xe[start:stop], ye[start:stop], out)
                 flat -= eta * grad
             trace.append(_epoch_loss(ye, probs, config.batch_size))
+            if not np.isfinite(trace[-1]):
+                raise NumericError(f"training loss is not finite in epoch {epoch}")
             if after_epoch is not None and after_epoch():
                 break
     finally:

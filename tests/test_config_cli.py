@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vulnfuse
@@ -82,6 +83,8 @@ BAD_VALUES = [
     {"detectors": [{"kind": "mock", "name": ""}]},
     {"detectors": [{"kind": "mock", "fail": "no"}]},
     {"detectors": [{"kind": "mock", "fail": 0}]},
+    # results and timings key by detector name; a mock's default name is "mock"
+    {"detectors": [{"kind": "mock", "probabilities": [0.1]}, {"kind": "mock"}]},
     # values in range for their type but not for the stage that reads them
     {"slora": {"rank": 64, "feature_dim": 32}},
     {"slora": {"rank": 0}},
@@ -327,6 +330,7 @@ class TestCliFlow:
         ("train-meta", {"meta": {"lam": 1.0}}),
         ("train-slora", {"slora": {"rank": 65}}),
         ("detect", {"detectors": [{"kind": "mock", "delay": "1"}]}),
+        ("train-meta", {"detectors": [{"kind": "bm25"}, {"kind": "mock", "name": "bm25"}]}),
     ])
     def test_bad_value_exits_2(self, mini_project, tmp_path, capsys, command, section):
         config = json.loads(Path(mini_project["config"]).read_text())
@@ -359,6 +363,38 @@ class TestCliFlow:
         cfg_ok.write_text(json.dumps(ok_config))
         assert main(["train-meta", "--config", str(cfg_ok), "--out", str(work)]) == EXIT_OK
         assert main(["detect", "--config", str(cfg), "--out", str(work)]) == EXIT_ALL_FAILED
+
+    @pytest.mark.parametrize("delay", [0.0, 0.01])   # batched, then walked
+    def test_narrow_detector_exits_3(self, tmp_path, capsys, delay):
+        paths = write_corpus(tmp_path / "corpus", 10, 1)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "taxonomy": paths["taxonomy"],
+            "datasets": {"train": paths["train"], "test": paths["test"]},
+            "detectors": [{"kind": "mock", "probabilities": [0.7], "delay": delay}],
+        }))
+        assert main(["train-meta", "--config", str(cfg), "--out", str(tmp_path / "w")]) \
+            == EXIT_STAGE
+        assert "detector 'mock' returned probabilities of shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,artifact", [("train-slora", "slora_ckpt"),
+                                                  ("train-meta", "meta_ckpt")])
+    def test_diverged_training_exits_3_without_checkpoint(self, tmp_path, capsys,
+                                                          command, artifact):
+        paths = write_corpus(tmp_path / "corpus", 20, 4)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "taxonomy": paths["taxonomy"],
+            "datasets": {"train": paths["train"], "test": paths["test"]},
+            "slora": {"feature_dim": 3, "rank": 3, "learning_rate": 10.0, "batch_size": 1},
+            "meta": {"learning_rate": 1e300, "epochs": 5},
+            "detectors": [{"kind": "mock", "probabilities": [0.2, 0.9, 0.1, 0.6, 0.4]}],
+        }))
+        work = tmp_path / "work"
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(cfg), "--out", str(work)]) == EXIT_STAGE
+        assert "training loss is not finite" in capsys.readouterr().err
+        assert not (work / pipeline.ARTIFACTS[artifact]).exists()
 
     def test_console_script_installed(self):
         # pytest's `pythonpath` setting reaches only this process, not the child

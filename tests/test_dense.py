@@ -32,11 +32,18 @@ def text_of_length(n, seed=0):
     rng = random.Random(seed)
     words = []
     total = 0
-    while total < n:
+    while total <= n:  # the joined words are one separator shorter than `total`
         word = "w%d" % rng.randrange(1000)
         words.append(word)
         total += len(word) + 1
     return " ".join(words)[:n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5000), seed=st.integers(0, 2**16))
+@example(n=5, seed=0)  # words that fill exactly n characters with their separators
+def test_text_of_length_is_exact(n, seed):
+    assert len(text_of_length(n, seed)) == n
 
 
 class TestSegmentationParams:
@@ -98,7 +105,7 @@ class TestSegment:
             p = SegmentationParams(window=window, overlap=overlap, min_len=min_len)
             lengths = [data.draw(st.integers(window, 6 * window), label="length")]
         for length in lengths:
-            frags = segment(text_of_length(length).ljust(length), p)
+            frags = segment(text_of_length(length), p)
             assert len(frags) == expected_fragment_count(length, p), f"L={length}"
 
     def test_min_length_invariant(self):

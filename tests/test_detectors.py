@@ -20,7 +20,7 @@ from vulnfuse.detectors import (
     detect,
     parallel_detect,
 )
-from vulnfuse.errors import AllDetectorsFailed
+from vulnfuse.errors import AllDetectorsFailed, ShapeError
 from vulnfuse import detectors as detectors_mod
 from vulnfuse.slora import HashedFeatureExtractor, init_adapter, init_head
 
@@ -31,13 +31,13 @@ from test_dense import text_of_length
 class TestMock:
     def test_fixed_output(self, taxonomy5):
         result = detect(MockDetector([0.9, 0.1]), Contract(id="c", source="x;"))
-        assert result.status == "ok"
+        assert result.ok and result.error is None
         assert result.probabilities == (0.9, 0.1)
         assert result.elapsed >= 0.0
 
     def test_failure_isolated(self):
         result = detect(MockDetector([0.5], fail=True), Contract(id="c", source="x;"))
-        assert result.status == "failed"
+        assert not result.ok
         assert result.probabilities is None
         assert "mock" in result.error
 
@@ -57,7 +57,7 @@ class TestLocalDetectors:
         store = build_store(make_dataset(rows, taxonomy5))
         detector = DenseDetector(store, num_labels=5)
         result = detect(detector, Contract(id="q", source=text_of_length(2000, seed=9)))
-        assert result.status == "ok"
+        assert result.ok
         assert set(result.probabilities) <= {0.0, 1.0}
 
     def test_slora_detector_range(self, taxonomy5):
@@ -65,7 +65,7 @@ class TestLocalDetectors:
         head = init_head(16, 5, seed=0)
         detector = SloraDetector(layer, head, HashedFeatureExtractor(16, seed=0), num_labels=5)
         result = detect(detector, Contract(id="q", source="function f() public {}"))
-        assert result.status == "ok"
+        assert result.ok
         assert all(0.0 < p < 1.0 for p in result.probabilities)
 
     def test_repeat_detection_identical(self, taxonomy5):
@@ -83,7 +83,7 @@ class TestExternal:
         with mock_endpoint(lambda body: (200, {"probabilities": [0.2, 0.4, 0.6, 0.8, 1.0]})) as ep:
             detector = ExternalDetector(ep.url, taxonomy5, timeout=5.0, retries=0)
             result = detect(detector, Contract(id="c", source="x;"))
-        assert result.status == "ok"
+        assert result.ok
         assert result.probabilities == (0.2, 0.4, 0.6, 0.8, 1.0)
         assert ep.requests[0]["body"]["source"] == "x;"
         assert ep.requests[0]["body"]["taxonomy"] == list(taxonomy5)
@@ -92,21 +92,21 @@ class TestExternal:
         with mock_endpoint(lambda body: (200, {"probabilities": [0.5] * 4})) as ep:
             detector = ExternalDetector(ep.url, taxonomy5, timeout=5.0, retries=0)
             result = detect(detector, Contract(id="c", source="x;"))
-        assert result.status == "failed"
+        assert not result.ok
 
     def test_out_of_range_fails(self, taxonomy5, mock_endpoint):
         with mock_endpoint(lambda body: (200, {"probabilities": [2.0, 0, 0, 0, 0]})) as ep:
             detector = ExternalDetector(ep.url, taxonomy5, timeout=5.0, retries=0)
-            assert detect(detector, Contract(id="c", source="x;")).status == "failed"
+            assert detect(detector, Contract(id="c", source="x;")).ok is False
 
     def test_http_error_fails(self, taxonomy5, mock_endpoint):
         with mock_endpoint(lambda body: (500, {"error": "boom"})) as ep:
             detector = ExternalDetector(ep.url, taxonomy5, timeout=5.0, retries=0)
-            assert detect(detector, Contract(id="c", source="x;")).status == "failed"
+            assert detect(detector, Contract(id="c", source="x;")).ok is False
 
     def test_unreachable_endpoint_fails(self, taxonomy5):
         detector = ExternalDetector("http://127.0.0.1:9/", taxonomy5, timeout=0.5, retries=0)
-        assert detect(detector, Contract(id="c", source="x;")).status == "failed"
+        assert detect(detector, Contract(id="c", source="x;")).ok is False
 
     def test_retry_then_success(self, taxonomy5, mock_endpoint):
         calls = []
@@ -120,7 +120,7 @@ class TestExternal:
         with mock_endpoint(flaky) as ep:
             detector = ExternalDetector(ep.url, taxonomy5, timeout=5.0, retries=1)
             result = detect(detector, Contract(id="c", source="x;"))
-        assert result.status == "ok"
+        assert result.ok
         assert len(calls) == 2
 
     def test_retried_http_errors_are_closed(self, taxonomy5, mock_endpoint):
@@ -131,7 +131,7 @@ class TestExternal:
                 detector = ExternalDetector(ep.url, taxonomy5, timeout=5.0, retries=1)
                 result = detect(detector, Contract(id="c", source="x;"))
             gc.collect()
-        assert result.status == "failed"
+        assert not result.ok
         assert len(ep.requests) == 2
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
@@ -150,9 +150,9 @@ class TestParallel:
             MockDetector([0.2, 0.8], name="second", delay=0.05),
             MockDetector([0.3, 0.7], name="third"),
         ]
-        results = parallel_detect(detectors, Contract(id="c", source="x;"))
-        assert [r.detector_name for r in results] == ["first", "second", "third"]
-        assert results[1].probabilities == (0.2, 0.8)
+        record = parallel_detect(detectors, Contract(id="c", source="x;"))
+        assert record.names == ("first", "second", "third")
+        assert record.probs.tolist() == [[[0.1, 0.9]], [[0.2, 0.8]], [[0.3, 0.7]]]
 
     def test_concurrent_execution(self):
         detectors = [MockDetector([0.5], name=f"m{i}", delay=0.1) for i in range(2)]
@@ -166,8 +166,9 @@ class TestParallel:
             MockDetector([0.5], name="bad", fail=True),
             MockDetector([0.5], name="ok2"),
         ]
-        results = parallel_detect(detectors, Contract(id="c", source="x;"))
-        assert [r.status for r in results] == ["ok", "failed", "ok"]
+        record = parallel_detect(detectors, Contract(id="c", source="x;"))
+        assert record.failed.tolist() == [[False], [True], [False]]
+        assert record.probs[[0, 2]].tolist() == [[[0.5]], [[0.5]]]
 
     def test_all_failed_raises(self):
         detectors = [MockDetector([0.5], name=f"bad{i}", fail=True) for i in range(3)]
@@ -184,15 +185,15 @@ class Busy(Detector):
 
     name = "busy"
 
-    def __init__(self, seconds=0.0):
-        super().__init__(num_labels=1)
+    def __init__(self, seconds=0.0, num_labels=1):
+        super().__init__(num_labels)
         self.seconds = seconds
         self.thread = None
 
     def predict(self, contract):
         self.thread = threading.get_ident()
         time.sleep(self.seconds)
-        return np.array([0.5])
+        return np.full(self.num_labels, 0.5)
 
 
 class TestInlineDispatch:
@@ -210,9 +211,9 @@ class TestInlineDispatch:
     def test_wait_overlaps_local_work(self):
         detectors = [Busy(seconds=0.1), MockDetector([0.5], name="remote", delay=0.1)]
         start = time.perf_counter()
-        results = parallel_detect(detectors, Contract(id="c", source="x;"))
+        record = parallel_detect(detectors, Contract(id="c", source="x;"))
         assert time.perf_counter() - start < 0.18
-        assert [r.detector_name for r in results] == ["busy", "remote"]
+        assert record.names == ("busy", "remote")
 
 
 def local_detectors(taxonomy):
@@ -272,36 +273,40 @@ class TestPredictBatch:
 
 class TestBatchDetect:
     def test_short_contract_fails_only_dense_row(self, taxonomy5):
-        per_contract = batch_detect(local_detectors(taxonomy5), queries(4, short={2}))
-        statuses = [[r.status for r in results] for results in per_contract]
-        assert statuses == [["ok"] * 3, ["ok"] * 3, ["failed", "ok", "ok"], ["ok"] * 3]
-        assert [[r.detector_name for r in results] for results in per_contract] \
-            == [["dense", "bm25", "slora"]] * 4
+        record = batch_detect(local_detectors(taxonomy5), queries(4, short={2}), 5)
+        assert record.names == ("dense", "bm25", "slora")
+        assert record.probs.shape == (3, 4, 5)
+        assert record.failed.T.tolist() == [[False] * 3, [False] * 3,
+                                            [True, False, False], [False] * 3]
+        assert record.errors[0][2].startswith("NoFragments")
+        assert np.isnan(record.probs[0, 2]).all()
+        assert not np.isnan(np.delete(record.probs[0], 2, axis=0)).any()
 
     def test_results_match_one_contract_at_a_time(self, taxonomy5):
         detectors = local_detectors(taxonomy5)
         contracts = queries(4, short={0})
-        for contract, results in zip(contracts, batch_detect(detectors, contracts)):
+        record = batch_detect(detectors, contracts, 5)
+        for j, contract in enumerate(contracts):
             alone = parallel_detect(detectors, contract)
-            for batched, single in zip(results, alone):
-                assert (batched.status, batched.error) == (single.status, single.error)
-                if batched.ok:
-                    assert np.abs(np.subtract(batched.probabilities,
-                                              single.probabilities)).max() <= 1e-15
+            assert [errors[j] for errors in record.errors] == [e[0] for e in alone.errors]
+            batched, single = record.probs[:, j], alone.probs[:, 0]
+            assert (np.isnan(batched) == np.isnan(single)).all()
+            assert np.nan_to_num(np.abs(batched - single)).max() <= 1e-15
 
     def test_failing_mock_fails_only_its_rows(self):
         detectors = [MockDetector([0.1, 0.9], name="good"),
                      MockDetector([0.5, 0.5], name="bad", fail=True),
                      MockDetector([0.3, 0.7], name="slow", delay=0.01)]
         contracts = [Contract(id=f"c{i}", source="x;") for i in range(3)]
-        per_contract = batch_detect(detectors, contracts)
-        assert len(per_contract) == 3
-        for results in per_contract:
-            assert [r.detector_name for r in results] == ["good", "bad", "slow"]
-            assert [r.status for r in results] == ["ok", "failed", "ok"]
-            assert results[0].probabilities == (0.1, 0.9)
-            assert results[2].probabilities == (0.3, 0.7)
-            assert "configured to fail" in results[1].error
+        record = batch_detect(detectors, contracts, 2)
+        assert record.names == ("good", "bad", "slow")
+        assert record.failed.tolist() == [[False] * 3, [True] * 3, [False] * 3]
+        assert record.probs[0].tolist() == [[0.1, 0.9]] * 3
+        assert record.probs[2].tolist() == [[0.3, 0.7]] * 3
+        assert np.isnan(record.probs[1]).all()
+        assert all("configured to fail" in error for error in record.errors[1])
+        # wall time over n: the slow mock sleeps 0.01 s per contract, 0.03 s in all
+        assert min(record.seconds) >= 0.0 and 0.01 <= record.seconds[2] < 0.03
 
     def test_whole_batch_failure_fails_every_row(self):
         class Broken(Detector):
@@ -311,10 +316,11 @@ class TestBatchDetect:
                 raise RuntimeError("model not loaded")
 
         contracts = [Contract(id=f"c{i}", source="x;") for i in range(3)]
-        per_contract = batch_detect([Broken(1), MockDetector([0.5])], contracts)
-        assert [results[0].error for results in per_contract] \
-            == ["RuntimeError: model not loaded"] * 3
-        assert all(results[1].ok for results in per_contract)
+        record = batch_detect([Broken(1), MockDetector([0.5])], contracts, 1)
+        assert record.errors[0] == ("RuntimeError: model not loaded",) * 3
+        assert np.isnan(record.probs[0]).all()
+        assert record.errors[1] == (None,) * 3
+        assert record.probs[1].tolist() == [[0.5]] * 3
 
     def test_all_failed_names_the_contract(self):
         class FailsOn(Detector):
@@ -329,10 +335,31 @@ class TestBatchDetect:
 
         contracts = [Contract(id=cid, source="x;") for cid in ("a", "b", "c")]
         with pytest.raises(AllDetectorsFailed, match="contract 'b'"):
-            batch_detect([FailsOn("one", "b"), FailsOn("two", "b")], contracts)
+            batch_detect([FailsOn("one", "b"), FailsOn("two", "b")], contracts, 1)
 
     def test_no_contracts(self):
-        assert batch_detect([MockDetector([0.5]), MockDetector([0.5], delay=0.01)], []) == []
+        record = batch_detect([MockDetector([0.5]), MockDetector([0.5], delay=0.01)], [], 1)
+        assert record.probs.shape == (2, 0, 1)
+        assert record.errors == ((), ())
+        assert record.failed.shape == (2, 0)
+
+    @pytest.mark.parametrize("delay", [0.0, 0.01])   # batched, then walked
+    def test_wrong_width_names_the_detector(self, delay):
+        detectors = [MockDetector([0.1] * 5, name="ok"),
+                     MockDetector([0.7], name="narrow", delay=delay)]
+        contracts = [Contract(id=f"c{i}", source="x;") for i in range(2)]
+        with pytest.raises(ShapeError, match=r"detector 'narrow'.*\(2, 1\).*\(2, 5\)"):
+            batch_detect(detectors, contracts, 5)
+
+    def test_wrong_row_count_names_the_detector(self):
+        class Short(Detector):
+            name = "short"
+
+            def predict_batch(self, contracts):
+                return np.zeros((len(contracts) - 1, 1)), [None] * (len(contracts) - 1)
+
+        with pytest.raises(ShapeError, match="detector 'short'"):
+            batch_detect([Short(1)], [Contract(id=f"c{i}", source="x;") for i in range(3)], 1)
 
 
 class TestWaitingDetectorPool:
@@ -366,11 +393,11 @@ class TestWaitingDetectorPool:
                        for i, ep in enumerate((ep0, ep1))]
             for remote in remotes:
                 remote.threads = set()
-            busy = Busy()
+            busy = Busy(num_labels=5)
             start = time.perf_counter()
-            per_contract = batch_detect([remotes[0], busy, remotes[1]], contracts)
+            record = batch_detect([remotes[0], busy, remotes[1]], contracts, 5)
             wall = time.perf_counter() - start
-        assert all(r.ok for results in per_contract for r in results)
+        assert not record.failed.any()
         for state in states:
             assert state["peak"] == 1
             assert state["sources"] == [c.source for c in contracts]

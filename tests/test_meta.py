@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnfuse import meta
-from vulnfuse.corpus import LabelVector
-from vulnfuse.detectors import DetectionResult
+from vulnfuse.corpus import Contract, LabelVector
+from vulnfuse.detectors import Detections, MockDetector, batch_detect
 from vulnfuse.errors import (
     AllDetectorsFailed,
     EmptyDataset,
@@ -29,14 +29,19 @@ from vulnfuse.meta import (
 from vulnfuse.slora import sigmoid
 
 
-def ok_result(name, probs):
-    return DetectionResult(detector_name=name, probabilities=tuple(probs),
-                           elapsed=0.0, status="ok")
-
-
-def failed_result(name):
-    return DetectionResult(detector_name=name, probabilities=None,
-                           elapsed=0.0, status="failed", error="boom")
+def record(per_contract, num_labels=1):
+    """Detections from per-contract lists of per-detector probabilities; None is a failure."""
+    psi = len(per_contract[0]) if per_contract else 3
+    probs = np.full((psi, len(per_contract), num_labels), np.nan)
+    errors = [[None] * len(per_contract) for _ in range(psi)]
+    for j, results in enumerate(per_contract):
+        for d, p in enumerate(results):
+            if p is None:
+                errors[d][j] = "RuntimeError: boom"
+            else:
+                probs[d, j] = p
+    return Detections(tuple(f"d{d}" for d in range(psi)), probs,
+                      tuple(map(tuple, errors)), (0.0,) * psi)
 
 
 def passthrough_learner():
@@ -266,32 +271,30 @@ class TestAdapt:
 class TestVerify:
     def test_passthrough_follows_first_detector(self):
         learner = passthrough_learner()
-        results = [
-            ok_result("one", [0.9, 0.2, 0.5]),
-            ok_result("two", [0.0, 0.0, 0.0]),
-            ok_result("three", [1.0, 1.0, 1.0]),
-        ]
-        ((labels, probs),) = verify(learner, [results])
-        assert labels.bits == (1, 0, 1)  # 0.5 hits the >= boundary
+        labels, probs = verify(learner, record([[[0.9, 0.2, 0.5], [0.0] * 3, [1.0] * 3]], 3))
+        assert labels.tolist() == [[1, 0, 1]]  # 0.5 hits the >= boundary
+        assert probs.shape == (1, 3)
 
     def test_boundary_is_inclusive(self):
-        learner = passthrough_learner()
-        results = [ok_result("one", [0.5]), ok_result("two", [0.0]), ok_result("three", [0.0])]
-        ((labels, probs),) = verify(learner, [results])
-        assert probs[0] == 0.5
-        assert labels.bits == (1,)
+        labels, probs = verify(passthrough_learner(), record([[[0.5], [0.0], [0.0]]]))
+        assert probs[0, 0] == 0.5
+        assert labels.tolist() == [[1]]
 
     def test_failed_detector_imputed(self):
-        learner = passthrough_learner()
-        results = [failed_result("one"), ok_result("two", [0.9]), ok_result("three", [0.9])]
-        ((labels, probs),) = verify(learner, [results])
+        _, probs = verify(passthrough_learner(), record([[None, [0.9], [0.9]]]))
         # imputed 0.5 reaches the pass-through threshold exactly
-        assert probs[0] == 0.5
+        assert probs[0, 0] == 0.5
+
+    def test_nan_without_error_is_not_imputed(self):
+        # a diverged detector that reports no error must not pass for an uninformative one
+        _, probs = verify(passthrough_learner(), record([[[np.nan], [0.9], [0.9]]]))
+        assert np.isnan(probs[0, 0])
 
     def test_all_failed(self):
-        learner = passthrough_learner()
+        # the record verify reads cannot hold a contract that every detector failed on
+        detectors = [MockDetector([0.5], name=name, fail=True) for name in ("a", "b")]
         with pytest.raises(AllDetectorsFailed):
-            verify(learner, [[failed_result("a"), failed_result("b")]])
+            batch_detect(detectors, [Contract(id="c", source="x;")], 1)
 
     def test_trained_consensus_positive(self):
         rng = np.random.default_rng(11)
@@ -300,17 +303,17 @@ class TestVerify:
         noisy = np.clip(truth + rng.normal(0, 0.2, n), 0, 1)
         rows = np.stack([noisy, truth, np.clip(truth + rng.normal(0, 0.3, n), 0, 1)], axis=1)
         learner, _ = train_meta(rows, truth, MetaTrainConfig(learning_rate=0.1, epochs=200, seed=1))
-        results = [ok_result("a", [1.0]), ok_result("b", [1.0]), ok_result("c", [1.0])]
-        ((labels, _),) = verify(learner, [results])
-        assert labels.bits == (1,)
+        labels, _ = verify(learner, record([[[1.0], [1.0], [1.0]]]))
+        assert labels.tolist() == [[1]]
 
     def test_shape_mismatch_rejected(self):
         learner = passthrough_learner()
         with pytest.raises(ShapeError, match="fuses 3 detectors"):
-            verify(learner, [[ok_result("a", [0.9]), ok_result("b", [0.9])]])
-        with pytest.raises(ShapeError, match="'c' returned 2"):
-            verify(learner, [[ok_result("a", [0.9]), failed_result("b"),
-                              ok_result("c", [0.9, 0.1])]])
+            verify(learner, record([[[0.9], [0.9]]]))
+        detectors = [MockDetector([0.9], name="a"), MockDetector([0.9], name="b", fail=True),
+                     MockDetector([0.9, 0.1], name="c")]
+        with pytest.raises(ShapeError, match=r"detector 'c'.*\(1, 2\)"):
+            batch_detect(detectors, [Contract(id="x", source="x;")], 1)
 
     def test_one_forward_call_for_all_contracts(self, monkeypatch):
         calls = []
@@ -321,21 +324,26 @@ class TestVerify:
             return real(learner, raw)
 
         monkeypatch.setattr(meta, "meta_forward", counting)
-        per_contract = [
-            [ok_result("a", [0.1] * 5), failed_result("b"), ok_result("c", [0.9] * 5)],
-            [failed_result("a"), ok_result("b", [0.3] * 5), ok_result("c", [0.7] * 5)],
-        ]
-        assert len(verify(init_meta(psi=3, seed=3), per_contract)) == 2
+        per_contract = [[[0.1] * 5, None, [0.9] * 5], [None, [0.3] * 5, [0.7] * 5]]
+        labels, probs = verify(init_meta(psi=3, seed=3), record(per_contract, 5))
+        assert labels.shape == probs.shape == (2, 5)
         assert calls == [(10, 3)]
 
     def test_all_failed_on_one_contract_of_many(self):
-        per_contract = [[ok_result("a", [0.9]), ok_result("b", [0.9]), ok_result("c", [0.9])],
-                        [failed_result("a"), failed_result("b"), failed_result("c")]]
-        with pytest.raises(AllDetectorsFailed):
-            verify(passthrough_learner(), per_contract)
+        class FailsOnSecond(MockDetector):
+            def predict(self, contract):
+                if contract.id == "second":
+                    raise RuntimeError("no verdict")
+                return super().predict(contract)
+
+        detectors = [FailsOnSecond([0.9], name=name) for name in ("a", "b", "c")]
+        contracts = [Contract(id=cid, source="x;") for cid in ("first", "second")]
+        with pytest.raises(AllDetectorsFailed, match="contract 'second'"):
+            batch_detect(detectors, contracts, 1)
 
     def test_no_contracts(self):
-        assert verify(passthrough_learner(), []) == []
+        labels, probs = verify(passthrough_learner(), record([], 4))
+        assert labels.shape == probs.shape == (0, 4)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), num_labels=st.integers(1, 6))
@@ -343,15 +351,15 @@ class TestVerify:
         rng = np.random.default_rng(seed)
         learner = init_meta(psi=3, seed=seed)
         per_contract = [
-            [failed_result(f"d{i}") if rng.random() < 0.3 and i else
-             ok_result(f"d{i}", rng.random(num_labels).tolist()) for i in range(3)]
+            [None if rng.random() < 0.3 and i else rng.random(num_labels).tolist()
+             for i in range(3)]
             for _ in range(n)
         ]
-        batched = verify(learner, per_contract, 0.5)
-        for results, (labels, probs) in zip(per_contract, batched):
-            ((one_labels, one_probs),) = verify(learner, [results], 0.5)
-            assert max(abs(a - b) for a, b in zip(probs, one_probs)) <= 1e-15
-            assert labels.bits == one_labels.bits or min(abs(p - 0.5) for p in probs) <= 1e-15
+        labels, probs = verify(learner, record(per_contract, num_labels), 0.5)
+        for results, row_labels, row_probs in zip(per_contract, labels, probs):
+            one_labels, one_probs = verify(learner, record([results], num_labels), 0.5)
+            assert np.abs(row_probs - one_probs[0]).max() <= 1e-15
+            assert (row_labels == one_labels[0]).all() or np.abs(row_probs - 0.5).min() <= 1e-15
 
 
 class TestVerifyMatchesPerCellOracle:
@@ -374,16 +382,15 @@ class TestVerifyMatchesPerCellOracle:
         failed = data.draw(st.lists(st.booleans(), min_size=psi, max_size=psi)
                            .filter(lambda f: not all(f)))
         results = [
-            failed_result(f"d{i}") if fail else ok_result(
-                f"d{i}", data.draw(st.lists(probability, min_size=num_labels,
-                                            max_size=num_labels)))
-            for i, fail in enumerate(failed)
+            None if fail else data.draw(st.lists(probability, min_size=num_labels,
+                                                 max_size=num_labels))
+            for fail in failed
         ]
-        ((labels, probs),) = verify(learner, [results], threshold)
-        raw = np.array([r.probabilities if r.ok else [0.5] * num_labels for r in results])
+        labels, probs = verify(learner, record([results], num_labels), threshold)
+        raw = np.array([[0.5] * num_labels if r is None else r for r in results])
         want = [oracle_forward(learner, raw[:, j]) for j in range(num_labels)]
-        assert len(probs) == num_labels
-        for got, expected, bit in zip(probs, want, labels.bits):
+        assert labels.shape == probs.shape == (1, num_labels)
+        for got, expected, bit in zip(probs[0], want, labels[0]):
             assert abs(got - expected) <= 1e-15
             if abs(expected - threshold) > 1e-15:
                 assert bit == (1 if expected >= threshold else 0)
@@ -404,34 +411,35 @@ class TestVerifyImputesFailures:
                               .filter(lambda f: not all(f)), label="failed")
             probs = [data.draw(st.lists(probability, min_size=num_labels, max_size=num_labels))
                      for _ in range(psi)]
-            failed.append([failed_result(f"d{i}") if fail else ok_result(f"d{i}", p)
-                           for i, (fail, p) in enumerate(zip(flags, probs))])
-            imputed.append([ok_result(f"d{i}", [0.5] * num_labels if fail else p)
-                            for i, (fail, p) in enumerate(zip(flags, probs))])
-        got = verify(learner, failed, num_labels=num_labels)
-        want = verify(learner, imputed, num_labels=num_labels)
-        assert [labels.bits for labels, _ in got] == [labels.bits for labels, _ in want]
-        assert [np.asarray(p).tobytes() for _, p in got] == \
-            [np.asarray(p).tobytes() for _, p in want]
+            failed.append([None if fail else p for fail, p in zip(flags, probs)])
+            imputed.append([[0.5] * num_labels if fail else p for fail, p in zip(flags, probs)])
+        got = verify(learner, record(failed, num_labels))
+        want = verify(learner, record(imputed, num_labels))
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestRowsAndPersistence:
     def test_rows_from_results(self, taxonomy5):
         per_contract = [
-            [ok_result("a", [1, 0, 0, 0, 0]), failed_result("b")],
-            [ok_result("a", [0, 1, 0, 0, 0]), ok_result("b", [0, 1, 0, 0, 0])],
+            [[1, 0, 0, 0, 0], None],
+            [[0, 1, 0, 0, 0], [0, 1, 0, 0, 0]],
         ]
         truths = [LabelVector(bits=(1, 0, 0, 0, 0)), LabelVector(bits=(0, 1, 0, 0, 0))]
-        rows, targets = rows_from_results(per_contract, truths)
+        rows, targets = rows_from_results(record(per_contract, 5), truths)
         assert rows.shape == (10, 2)
         assert targets.tolist() == [1, 0, 0, 0, 0, 0, 1, 0, 0, 0]
         assert rows[0].tolist() == [1.0, 0.5]  # failed detector imputed
+        assert rows[6].tolist() == [1.0, 1.0]  # second contract, second label
+        with pytest.raises(ShapeError, match="align"):
+            rows_from_results(record(per_contract, 5), truths[:1])
 
     @pytest.mark.parametrize("length", [1, 2])
     def test_rows_reject_wrong_length(self, length):
-        per_contract = [[ok_result("a", [0.7] * length), ok_result("b", [0.1] * 5)]]
-        with pytest.raises(ShapeError, match="'a' returned"):
-            rows_from_results(per_contract, [LabelVector(bits=(1, 0, 0, 0, 0))])
+        detectors = [MockDetector([0.7] * length, name="a"), MockDetector([0.1] * 5, name="b")]
+        with pytest.raises(ShapeError, match="detector 'a'"):
+            rows_from_results(batch_detect(detectors, [Contract(id="c", source="x;")], 5),
+                              [LabelVector(bits=(1, 0, 0, 0, 0))])
 
     def test_save_load_roundtrip(self, tmp_path):
         learner = init_meta(psi=3, seed=12)

@@ -85,3 +85,23 @@ def test_train_meta_writes_loss_trace(project):
     assert lines[0] == "epoch,train_loss"
     assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(config.meta.epochs)]
     assert lines[-1] == f"{config.meta.epochs - 1},{summary['final_loss']:.8f}"
+
+
+def test_detect_writes_failed_rows_as_null(project):
+    config = project["config"]
+    config.detectors = ({"kind": "mock", "probabilities": [0.2, 0.9, 0.1, 0.6, 0.4],
+                         "name": "good"},
+                        {"kind": "mock", "name": "slow", "delay": 0.01, "fail": True})
+    work = project["work"]
+    pipeline.stage_train_meta(config, work)
+    summary = pipeline.stage_detect(config, work)
+    records = [json.loads(line) for line in
+               (Path(work) / pipeline.ARTIFACTS["results"]).read_text().splitlines()]
+    assert len(records) == project["sizes"]["test"]
+    assert all(rec["detectors"] == {"good": [0.2, 0.9, 0.1, 0.6, 0.4], "slow": None}
+               for rec in records)
+    timings = json.loads((Path(work) / pipeline.ARTIFACTS["timings"]).read_text())
+    assert timings == summary["mean_seconds"]
+    assert set(timings) == {"good", "slow", "verified"}
+    # each detector's wall time over the contracts; only the slow one sleeps
+    assert timings["good"] < 0.01 <= timings["slow"]

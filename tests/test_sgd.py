@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vulnfuse import meta, sgd, slora
+from vulnfuse.errors import NumericError
 from vulnfuse.meta import MetaTrainConfig, MetaTrainResult, init_meta, train_meta
 from vulnfuse.slora import (
     ReadoutHead,
@@ -149,6 +150,19 @@ def same_bits(a, b) -> bool:
     return a[keep].tobytes() == b[keep].tobytes()
 
 
+def same_finite_trace(got, want) -> bool:
+    """Bit-equal loss traces with no NaN or infinity in them."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return bool(np.isfinite(got).all()) and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def first_non_finite(trace):
+    """Index of the first epoch whose loss is NaN or infinite, or None."""
+    bad = np.flatnonzero(~np.isfinite(np.asarray(trace, dtype=np.float64)))
+    return int(bad[0]) if bad.size else None
+
+
 def unit_rows(rng, n, dim):
     """L2-normalized feature rows, like the hashed contract features."""
     x = rng.normal(0.0, 1.0, (n, dim))
@@ -220,11 +234,19 @@ class TestTrainMetaMatchesOracle:
         reference = copy_meta(learner)
         arrays_before = {name: getattr(learner, name) for name in META_FIELDS}
 
+        with np.errstate(all="ignore"):
+            _, want = oracle_train_meta(rows, targets, config, reference)
+        diverged = first_non_finite(want.loss_trace)
+        if diverged is not None:
+            # the shared loop stops in the epoch where the old loop's loss turned non-finite
+            with np.errstate(all="ignore"), \
+                    pytest.raises(NumericError, match=rf"in epoch {diverged}$"):
+                train_meta(rows, targets, config, learner=learner)
+            return
         trained, result = train_meta(rows, targets, config, learner=learner)
-        _, want = oracle_train_meta(rows, targets, config, reference)
 
         assert trained is learner
-        assert same_bits(result.loss_trace, want.loss_trace)
+        assert same_finite_trace(result.loss_trace, want.loss_trace)
         assert len(result.loss_trace) == epochs
         for name in META_FIELDS:
             # the caller's own arrays hold the trained values
@@ -237,7 +259,7 @@ class TestTrainMetaMatchesOracle:
         config = MetaTrainConfig(learning_rate=0.3, batch_size=7, epochs=5, seed=9)
         learner, result = train_meta(rows, targets, config)
         reference, want = oracle_train_meta(rows, targets, config, init_meta(psi=3, seed=9))
-        assert same_bits(result.loss_trace, want.loss_trace)
+        assert same_finite_trace(result.loss_trace, want.loss_trace)
         for name in META_FIELDS:
             assert same_bits(getattr(learner, name), getattr(reference, name))
 
@@ -276,13 +298,19 @@ class TestAdapterTrainMatchesOracle:
         fields = ((layer, "u"), (layer, "v"), (layer, "s"), (head, "w"), (head, "b"))
         arrays_before = [getattr(owner, attr) for owner, attr in fields]
 
-        # small dims at high learning rates can diverge; both loops must diverge alike
+        # small dims at high learning rates can diverge; the shared loop must then
+        # stop in the epoch where the old loop's loss turned non-finite
         with np.errstate(all="ignore"):
-            result = train(layer, head, x, y, config, val=val)
             want = oracle_train(ref_layer, ref_head, x, y, config, val=val)
+            diverged = first_non_finite(want.loss_trace)
+            if diverged is not None:
+                with pytest.raises(NumericError, match=rf"in epoch {diverged}$"):
+                    train(layer, head, x, y, config, val=val)
+                return
+            result = train(layer, head, x, y, config, val=val)
 
         assert result.epochs_run == want.epochs_run == len(result.loss_trace)
-        assert same_bits(result.loss_trace, want.loss_trace)
+        assert same_finite_trace(result.loss_trace, want.loss_trace)
         assert same_bits(result.val_trace, want.val_trace)
         refs = (ref_layer.u, ref_layer.v, ref_layer.s, ref_head.w, ref_head.b)
         for (owner, attr), before, ref in zip(fields, arrays_before, refs):
@@ -299,6 +327,7 @@ class TestAdapterTrainMatchesOracle:
         result = train(layer, head, x, y, config, val=val)
         want = oracle_train(ref_layer, ref_head, x, y, config, val=val)
         assert result.epochs_run == want.epochs_run < 40
+        assert same_finite_trace(result.loss_trace, want.loss_trace)
         assert same_bits(result.val_trace, want.val_trace)
         assert same_bits(layer.s, ref_layer.s)
 
@@ -336,3 +365,29 @@ class TestFit:
         assert calls == [4, 4, 2] * 2
         assert owner.p.tolist() == [-3.0, 6.0]  # six steps of -0.5 * (1, -2)
         assert trace == pytest.approx([math.log(2.0)] * 2, rel=1e-15)
+
+    def test_diverged_adapter_raises(self):
+        """Dim 3, rank 3, alpha 0.9, learning rate 1, batch size 1, 36 unit-norm rows, seed 0."""
+        rng = np.random.default_rng(0)
+        x = unit_rows(rng, 36, 3)
+        y = rng.integers(0, 2, (36, 1)).astype(np.float64)
+        config = TrainConfig(learning_rate=1.0, batch_size=1, epochs=10, seed=0)
+        layer, head = init_adapter(3, 3, 0.9, seed=0), init_head(3, 1, seed=0)
+        u = layer.u
+        with np.errstate(all="ignore"):
+            want = oracle_train(init_adapter(3, 3, 0.9, seed=0), init_head(3, 1, seed=0),
+                                x, y, config)
+            with pytest.raises(NumericError, match="in epoch 2$"):
+                train(layer, head, x, y, config)
+        assert first_non_finite(want.loss_trace) == 2
+        assert layer.u is u  # the caller's arrays are put back
+
+    def test_diverged_verifier_raises(self):
+        rng = np.random.default_rng(0)
+        rows, targets = rng.random((40, 3)), rng.integers(0, 2, 40).astype(np.float64)
+        config = MetaTrainConfig(learning_rate=1e300, batch_size=4, epochs=5, seed=0)
+        learner = init_meta(psi=3, seed=0)
+        w1 = learner.w1
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="in epoch 0$"):
+            train_meta(rows, targets, config, learner=learner)
+        assert learner.w1 is w1
