@@ -108,50 +108,59 @@ def check_params(k1: float, b: float, top_k: int = DEFAULT_TOP_K) -> None:
 
 
 class Bm25Index:
-    """BM25 statistics plus CSR postings for scoring."""
+    """BM25 over CSR postings by term, the one form the index takes.
+
+    `vocab` maps each term to its id in sorted term order. Term t's postings
+    are `_post_docs[_post_indptr[t]:_post_indptr[t + 1]]`, documents ascending,
+    with their term counts in `_post_counts`. Every other statistic is derived
+    from these arrays, and `save` stores them as they are.
+    """
 
     def __init__(self, doc_tokens, ids, labels, k1=DEFAULT_K1, b=DEFAULT_B,
                  keywords=DEFAULT_KEYWORDS):
-        check_params(k1, b)
-        if not doc_tokens:
-            raise EmptyCorpus("cannot build a BM25 index from zero documents")
         if not (len(doc_tokens) == len(ids) == len(labels)):
             raise ValueError("documents, ids and labels must align")
-        self.doc_tokens = [list(toks) for toks in doc_tokens]
-        self.ids = list(ids)
-        self.labels = list(labels)
-        self.k1 = float(k1)
-        self.b = float(b)
-        self.keywords = tuple(keywords)
-        self.N = len(self.doc_tokens)
-        self.term_freqs = [Counter(toks) for toks in self.doc_tokens]
-        self.doc_lengths = np.array([len(toks) for toks in self.doc_tokens], dtype=np.int64)
-        self.avg_len = float(self.doc_lengths.sum()) / self.N
-        self.doc_freq = Counter()
-        for tf in self.term_freqs:
-            self.doc_freq.update(tf.keys())
-        self._build_postings()
-        self._idf = np.fromiter(map(self.idf, self.vocab), np.float64, len(self.vocab))  # by id
+        n = len(doc_tokens)
+        terms = sorted({term for tokens in doc_tokens for term in tokens})
+        vocab = {term: tid for tid, term in enumerate(terms)}
+        lengths = [len(tokens) for tokens in doc_tokens]
+        tids = np.fromiter((vocab[term] for tokens in doc_tokens for term in tokens),
+                           dtype=np.int64, count=sum(lengths))
+        # one key per (term, document) pair; ascending keys are the CSR order
+        keys, counts = np.unique(tids * n + np.repeat(np.arange(n), lengths),
+                                 return_counts=True)
+        post_terms, docs = np.divmod(keys, n)
+        indptr = np.searchsorted(post_terms, np.arange(len(terms) + 1))
+        self._set(terms, indptr, docs, counts.astype(np.float64), ids, labels, k1, b, keywords)
+
+    def _set(self, terms, indptr, docs, counts, ids, labels, k1, b, keywords):
+        """Check the postings, keep them, and derive the statistics scoring uses."""
+        check_params(k1, b)
+        if not ids:
+            raise EmptyCorpus("cannot build a BM25 index from zero documents")
+        if len(labels) != len(ids):
+            raise ValueError(f"{len(ids)} ids but {len(labels)} label vectors")
+        if len(indptr) != len(terms) + 1 or indptr[0] != 0 or (np.diff(indptr) < 0).any():
+            raise ValueError("indptr must start at 0 and not decrease, one step per term")
+        if not indptr[-1] == len(docs) == len(counts):
+            raise ValueError("indptr must end at the postings count, one count per posting")
+        if docs.size and not 0 <= docs.min() <= docs.max() < len(ids):
+            raise ValueError(f"a posting names a document outside [0, {len(ids)})")
+        if any(prev >= term for prev, term in zip(terms, terms[1:])):
+            raise ValueError("terms are not unique and sorted")
+        self.vocab = {term: tid for tid, term in enumerate(terms)}
+        self._post_indptr, self._post_docs, self._post_counts = indptr, docs, counts
+        self.ids, self.labels = list(ids), list(labels)
+        self.k1, self.b, self.keywords = float(k1), float(b), tuple(keywords)
+        self.N = len(self.ids)
+        self.doc_freq = dict(zip(terms, np.diff(indptr).tolist()))
+        # a document's length is its token count: the sum of its postings' counts
+        lengths = np.bincount(docs, weights=counts, minlength=self.N)
+        self.avg_len = float(lengths.sum()) / self.N
+        self._idf = np.fromiter(map(self.idf, terms), np.float64, len(terms))  # by id
         self._row_order = RowOrder(self.ids)
         # per-doc length-normalization denominator k1*(1 - b + b*l_D/l_avg)
-        self._norms = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avg_len)
-
-    def _build_postings(self):
-        vocab = {term: tid for tid, term in enumerate(sorted(self.doc_freq))}
-        sizes = [len(tf) for tf in self.term_freqs]
-        total = sum(sizes)
-        terms = np.fromiter((vocab[t] for tf in self.term_freqs for t in tf),
-                            dtype=np.int64, count=total)
-        counts = np.fromiter((c for tf in self.term_freqs for c in tf.values()),
-                             dtype=np.float64, count=total)
-        docs = np.repeat(np.arange(self.N, dtype=np.int64), sizes)
-        # CSR by term, each term's documents ascending
-        order = np.lexsort((docs, terms))
-        self.vocab = vocab
-        self._post_docs = docs[order]
-        self._post_counts = counts[order]
-        self._post_indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(terms, minlength=len(vocab)), out=self._post_indptr[1:])
+        self._norms = self.k1 * (1.0 - self.b + self.b * lengths / self.avg_len)
 
     # -- scoring ------------------------------------------------------------
 
@@ -191,41 +200,31 @@ class Bm25Index:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        payload = {
-            "k1": self.k1,
-            "b": self.b,
-            "keywords": list(self.keywords),
-            "docs": [
-                {"id": cid, "labels": list(lv.bits), "tokens": toks}
-                for cid, lv, toks in zip(self.ids, self.labels, self.doc_tokens)
-            ],
-        }
+        payload = {"k1": self.k1, "b": self.b, "keywords": list(self.keywords), "ids": self.ids,
+                   "labels": [list(lv.bits) for lv in self.labels], "terms": list(self.vocab),
+                   "indptr": self._post_indptr.tolist(), "docs": self._post_docs.tolist(),
+                   "counts": self._post_counts.astype(np.int64).tolist()}
         Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "Bm25Index":
+        """The index `save` wrote; KeyError, TypeError or ValueError if the file is not one."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            doc_tokens=[doc["tokens"] for doc in payload["docs"]],
-            ids=[doc["id"] for doc in payload["docs"]],
-            labels=[LabelVector(bits=tuple(doc["labels"])) for doc in payload["docs"]],
-            k1=payload["k1"],
-            b=payload["b"],
-            keywords=payload["keywords"],
-        )
+        index = cls.__new__(cls)
+        index._set(payload["terms"], np.asarray(payload["indptr"], dtype=np.int64),
+                   np.asarray(payload["docs"], dtype=np.int64),
+                   np.asarray(payload["counts"], dtype=np.float64), payload["ids"],
+                   [LabelVector(bits=tuple(bits)) for bits in payload["labels"]],
+                   payload["k1"], payload["b"], payload["keywords"])
+        return index
 
 
 def build_bm25(train: Dataset, k1=DEFAULT_K1, b=DEFAULT_B,
                keywords: Sequence[str] = DEFAULT_KEYWORDS) -> Bm25Index:
-    if len(train) == 0:
-        raise EmptyCorpus("training dataset is empty")
-    tokens, ids, labels = [], [], []
-    for contract in train:
-        tokens.append(tokenize(contract.source, keywords))
-        ids.append(contract.id)
-        labels.append(contract.labels if contract.labels is not None
-                      else LabelVector.zeros(len(train.taxonomy)))
-    return Bm25Index(tokens, ids, labels, k1=k1, b=b, keywords=keywords)
+    zeros = LabelVector.zeros(len(train.taxonomy))
+    return Bm25Index([tokenize(c.source, keywords) for c in train], train.ids(),
+                     [zeros if c.labels is None else c.labels for c in train],
+                     k1=k1, b=b, keywords=keywords)
 
 
 def bm25_retrieve(query: Contract, index: Bm25Index, k: int = DEFAULT_TOP_K) -> list[RetrievalHit]:

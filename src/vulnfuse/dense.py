@@ -122,14 +122,20 @@ class StoreMeta:
 
 
 class VectorStore:
-    """Flat store of unit vectors scanned exhaustively with cosine similarity."""
+    """Flat store of unit vectors scanned exhaustively with cosine similarity.
 
-    def __init__(self, vectors: np.ndarray, metadata: list[StoreMeta], dim: int):
+    `segmentation` is the (window, overlap, min_len) the stored fragments were
+    cut with; queries must be cut the same way.
+    """
+
+    def __init__(self, vectors: np.ndarray, metadata: list[StoreMeta], dim: int,
+                 segmentation: tuple[int, int, int]):
         if vectors.shape[0] != len(metadata):
             raise InvalidParameter("metadata length must equal vector count")
         self.vectors = vectors
         self.metadata = metadata
         self.dim = dim
+        self.segmentation = segmentation
         self._row_order = RowOrder([(m.parent_id, m.frag_index) for m in metadata],
                                    group=lambda key: key[0])
 
@@ -145,6 +151,7 @@ class VectorStore:
             path,
             vectors=self.vectors,
             dim=np.int64(self.dim),
+            segmentation=np.array(self.segmentation, dtype=np.int64),
             metadata=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
         )
 
@@ -153,12 +160,13 @@ class VectorStore:
         with np.load(path) as data:
             vectors = data["vectors"]
             dim = int(data["dim"])
+            segmentation = tuple(data["segmentation"].tolist())
             meta = json.loads(bytes(data["metadata"]).decode("utf-8"))
         metadata = [
             StoreMeta(m["parent_id"], m["frag_index"], LabelVector(bits=tuple(m["labels"])))
             for m in meta
         ]
-        return cls(vectors, metadata, dim)
+        return cls(vectors, metadata, dim, segmentation)
 
 
 def build_store(train: Dataset, params: SegmentationParams = SegmentationParams(),
@@ -174,7 +182,8 @@ def build_store(train: Dataset, params: SegmentationParams = SegmentationParams(
             metadata.append(StoreMeta(contract.id, frag.frag_index, labels))
     if not vectors:
         raise EmptyStore("dataset produced zero fragments")
-    return VectorStore(np.stack(vectors), metadata, embedder.dim)
+    return VectorStore(np.stack(vectors), metadata, embedder.dim,
+                       (params.window, params.overlap, params.min_len))
 
 
 def dense_retrieve(query: Contract, store: VectorStore,

@@ -46,6 +46,16 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _row(detector: "Detector", probabilities) -> np.ndarray:
+    """One contract's probabilities; ShapeError, naming the detector, unless one per
+    label, so that assigning the row into a column never broadcasts one value."""
+    row = np.asarray(probabilities, dtype=np.float64)
+    if row.shape != (detector.num_labels,):
+        raise ShapeError(f"detector {detector.name!r} returned probabilities of shape "
+                         f"{row.shape} for one contract, expected {(detector.num_labels,)}")
+    return row
+
+
 class Detector:
     """Base detector: subclasses implement predict(contract) -> probabilities."""
 
@@ -64,15 +74,18 @@ class Detector:
         """(n, num_labels) probabilities and, per row, an error string or None.
 
         A failed row holds NaN. This default runs `predict` on each contract,
-        so one contract's failure fails only its own row.
+        so one contract's failure fails only its own row; a row of the wrong
+        shape raises ShapeError.
         """
         probs = np.full((len(contracts), self.num_labels), np.nan)
         errors = [None] * len(contracts)
         for i, contract in enumerate(contracts):
             try:
-                probs[i] = self.predict(contract)
+                row = self.predict(contract)
             except Exception as exc:
                 errors[i] = _failure(exc)
+            else:
+                probs[i] = _row(self, row)
         return probs, errors
 
 
@@ -212,8 +225,8 @@ def _column(detector: Detector, contracts: Sequence[Contract]):
     """One detector's (n, L) probabilities, per-contract errors, and wall time over n.
 
     A waiting detector walks the contracts through `detect`, one request in
-    flight; any other makes one `predict_batch` call, and if that raises,
-    every row fails with its error (probabilities None).
+    flight; any other makes one `predict_batch` call, and if that raises
+    anything but ShapeError, every row fails with its error (probabilities None).
     """
     start = time.perf_counter()
     if detector.waits:
@@ -221,11 +234,13 @@ def _column(detector: Detector, contracts: Sequence[Contract]):
         probs = np.full((len(contracts), detector.num_labels), np.nan)
         for row, result in zip(probs, results):
             if result.ok:
-                row[:] = result.probabilities
+                row[:] = _row(detector, result.probabilities)
         errors = [result.error for result in results]
     else:
         try:
             probs, errors = detector.predict_batch(contracts)
+        except ShapeError:
+            raise  # a detector at odds with its own label count, not a failed batch
         except Exception as exc:
             probs, errors = None, [_failure(exc)] * len(contracts)
     return probs, errors, (time.perf_counter() - start) / max(len(contracts), 1)

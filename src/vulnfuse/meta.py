@@ -212,15 +212,19 @@ def verify(learner: MetaLearner, record: Detections,
 # persistence
 # ---------------------------------------------------------------------------
 
-def save_meta(path, learner: MetaLearner, threshold: float = DEFAULT_THRESHOLD) -> None:
+def save_meta(path, learner: MetaLearner, detectors: Sequence[str],
+              threshold: float = DEFAULT_THRESHOLD) -> None:
+    """Store the learner, its threshold, and the names of the detectors whose
+    outputs are its inputs, in input order."""
     np.savez(
         path,
         w=learner.w, w1=learner.w1, b1=learner.b1, w2=learner.w2, b2=learner.b2,
         w3=learner.w3, b3=learner.b3, threshold=np.float64(threshold),
+        detectors=np.array(detectors, dtype=str),
     )
 
 
-def load_meta(path) -> tuple[MetaLearner, float]:
+def load_meta(path) -> tuple[MetaLearner, float, tuple[str, ...]]:
     with np.load(path) as data:
         learner = MetaLearner(
             w=data["w"].copy(), w1=data["w1"].copy(), b1=data["b1"].copy(),
@@ -228,7 +232,8 @@ def load_meta(path) -> tuple[MetaLearner, float]:
             w3=data["w3"].copy(), b3=data["b3"].copy(),
         )
         threshold = float(data["threshold"])
-    return learner, threshold
+        detectors = tuple(data["detectors"].tolist())
+    return learner, threshold, detectors
 
 
 def export_rows_csv(path, rows: np.ndarray, targets: np.ndarray,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .detectors import (
     SloraDetector,
     batch_detect,
 )
-from .errors import ConfigError, StageError
+from .errors import ConfigError, StageError, VulnfuseError
 from .metrics import EvalSummary, compute_metrics
 from .report import (
     COT_PROMPT_TEMPLATE,
@@ -63,6 +64,23 @@ def _require(workdir, name, producer: str) -> Path:
     if not path.exists():
         raise StageError(f"missing artifact {path}; run '{producer}' first")
     return path
+
+
+def _load(workdir, name, producer: str, load):
+    """`load(path)` of an artifact; a missing, malformed or old-format file is a StageError."""
+    path = _require(workdir, name, producer)
+    try:
+        return load(path)
+    except (KeyError, TypeError, ValueError, BadZipFile, VulnfuseError) as exc:
+        raise StageError(f"cannot read {path} ({type(exc).__name__}: {exc}); "
+                         f"rerun '{producer}'") from exc
+
+
+def _check_built(workdir, name, producer: str, what: str, built, configured) -> None:
+    """StageError unless the artifact was built with the configured value of `what`."""
+    if built != configured:
+        raise StageError(f"{_artifact(workdir, name)} was built with {what} {built}, not the "
+                         f"configured {configured}; rerun '{producer}'")
 
 
 def _dataset_files(config: PipelineConfig) -> tuple[tuple[str, ...], dict]:
@@ -197,15 +215,20 @@ def build_detectors(config: PipelineConfig, taxonomy, workdir) -> list:
     for spec in config.detectors:
         kind = spec["kind"]
         if kind == "bm25":
-            index = bm25_mod.Bm25Index.load(_require(workdir, "bm25_index", "build-index"))
+            index = _load(workdir, "bm25_index", "build-index", bm25_mod.Bm25Index.load)
+            _check_built(workdir, "bm25_index", "build-index", "keywords", index.keywords,
+                         tuple(config.bm25.keywords))
             detectors.append(Bm25Detector(index, num_labels, top_k=config.bm25.top_k,
                                           vote_threshold=config.bm25.vote_threshold))
         elif kind == "dense":
-            store = dense_mod.VectorStore.load(_require(workdir, "dense_store", "build-index"))
-            detectors.append(DenseDetector(store, num_labels, _segmentation(config)))
+            store = _load(workdir, "dense_store", "build-index", dense_mod.VectorStore.load)
+            params = _segmentation(config)
+            _check_built(workdir, "dense_store", "build-index", "(window, overlap, min_len)",
+                         store.segmentation, (params.window, params.overlap, params.min_len))
+            detectors.append(DenseDetector(store, num_labels, params))
         elif kind == "slora":
-            layer, head, extractor, ck_tax = slora_mod.load_checkpoint(
-                _require(workdir, "slora_ckpt", "train-slora"))
+            layer, head, extractor, ck_tax = _load(workdir, "slora_ckpt", "train-slora",
+                                                   slora_mod.load_checkpoint)
             if tuple(ck_tax) != tuple(taxonomy):
                 raise StageError("adapter checkpoint was trained on a different taxonomy")
             detectors.append(SloraDetector(layer, head, extractor, num_labels))
@@ -246,7 +269,8 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
         learner=meta_mod.init_meta(psi=len(detectors), h1=config.meta.hidden1,
                                    h2=config.meta.hidden2, seed=config.seed),
     )
-    meta_mod.save_meta(_artifact(workdir, "meta_ckpt"), learner, config.meta.threshold)
+    meta_mod.save_meta(_artifact(workdir, "meta_ckpt"), learner, record.names,
+                       config.meta.threshold)
     _write_loss_trace(_artifact(workdir, "meta_loss"), result.loss_trace)
     meta_mod.export_rows_csv(_artifact(workdir, "meta_rows"), rows, targets, record.names)
     return {"rows": rows.shape[0], "final_loss": result.loss_trace[-1]}
@@ -255,7 +279,9 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
 def stage_detect(config: PipelineConfig, workdir) -> dict:
     test = _load_split(config, "test")
     detectors = build_detectors(config, test.taxonomy, workdir)
-    learner, threshold = meta_mod.load_meta(_require(workdir, "meta_ckpt", "train-meta"))
+    learner, threshold, trained_on = _load(workdir, "meta_ckpt", "train-meta", meta_mod.load_meta)
+    _check_built(workdir, "meta_ckpt", "train-meta", "detectors", trained_on,
+                 tuple(detector.name for detector in detectors))
     record = batch_detect(detectors, test.contracts, len(test.taxonomy))
     verify_start = time.perf_counter()
     labels, verified = meta_mod.verify(learner, record, threshold)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -17,6 +18,9 @@ from vulnfuse.corpus import Contract, LabelVector
 from vulnfuse.errors import EmptyCorpus, InvalidParameter
 
 from conftest import make_dataset
+from test_kernels import same_bits
+
+TERMS = st.text("ab.çé", min_size=1, max_size=3)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +117,9 @@ class TestBuild:
         docs = random_corpus(rng, 30)
         ds = make_dataset([(d, [0] * 5) for d in docs], taxonomy5)
         index = build_bm25(ds)
-        assert index.avg_len == float(index.doc_lengths.sum()) / index.N
+        assert index.avg_len == sum(len(tokenize(d)) for d in docs) / index.N
         assert all(0 < n <= index.N for n in index.doc_freq.values())
-        assert len(index.ids) == len(index.doc_tokens) == index.N
+        assert len(index.ids) == len(index.labels) == index.N
 
 
 class TestIdf:
@@ -257,11 +261,59 @@ class TestPersistence:
         index.save(path)
         loaded = Bm25Index.load(path)
         assert loaded.ids == index.ids
-        assert loaded.doc_tokens == index.doc_tokens
         assert loaded.avg_len == index.avg_len
         assert loaded.doc_freq == index.doc_freq
         query = tokenize(docs[3])
         assert np.array_equal(loaded.score_all(query), index.score_all(query))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        docs=st.lists(st.lists(TERMS, max_size=8), min_size=1, max_size=8).filter(any),
+        labels=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=8,
+                        max_size=8),
+        query=st.lists(TERMS | st.just("unseen"), max_size=8),
+        k1=st.floats(0.0, 3.0),
+        b=st.floats(0.0, 1.0),
+        keywords=st.lists(TERMS, max_size=3),
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, docs, labels, query, k1, b,
+                                     keywords):
+        ids = [f"d{i}" for i in range(len(docs))]
+        index = Bm25Index(docs, ids, [LabelVector(bits=bits) for bits in labels[:len(docs)]],
+                          k1=k1, b=b, keywords=keywords)
+        path = tmp_path_factory.mktemp("bm25") / "index.json"
+        index.save(path)
+        loaded = Bm25Index.load(path)
+        for name in ("_post_indptr", "_post_docs", "_post_counts", "_idf", "_norms"):
+            assert same_bits(getattr(loaded, name), getattr(index, name)), name
+        assert same_bits(loaded.score_all(query), index.score_all(query))
+        assert loaded.vocab == index.vocab and loaded.doc_freq == index.doc_freq
+        assert (loaded.ids, loaded.labels) == (index.ids, index.labels)
+        assert (loaded.k1, loaded.b, loaded.keywords, loaded.avg_len) \
+            == (index.k1, index.b, index.keywords, index.avg_len)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("indptr", [1, 3, 4], "start at 0"),
+        ("indptr", [0, 3, 2], "not decrease"),
+        ("indptr", [0, 3], "one step per term"),
+        ("indptr", [0, 3, 5], "end at the postings count"),
+        ("counts", [1, 1, 1], "one count per posting"),
+        ("docs", [0, 2, 1, 0], r"outside \[0, 2\)"),
+        ("docs", [0, -1, 1, 0], r"outside \[0, 2\)"),
+        ("terms", ["b", "a"], "sorted"),
+        ("terms", ["a", "a"], "unique"),
+        ("labels", [[0]], "2 ids but 1 label vectors"),
+    ])
+    def test_load_rejects_inconsistent_postings(self, tmp_path, field, value, message):
+        index = Bm25Index([["a", "b", "a"], ["a", "b"]], ["x", "y"],
+                          [LabelVector(bits=(0,))] * 2)
+        path = tmp_path / "index.json"
+        index.save(path)
+        payload = json.loads(path.read_text())
+        assert (payload["terms"], payload["indptr"]) == (["a", "b"], [0, 2, 4])
+        path.write_text(json.dumps({**payload, field: value}))
+        with pytest.raises(ValueError, match=message):
+            Bm25Index.load(path)
 
 
 def oracle_retrieve(query, index, k):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,24 @@ def mini_project(tmp_path_factory):
     return {"root": root, "config": str(cfg), "work": str(root / "work")}
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A work directory after train-meta, from cheap training; tests copy it."""
+    root = tmp_path_factory.mktemp("trained")
+    paths = write_corpus(root / "corpus", 30, 5)
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps({
+        "seed": 5,
+        "taxonomy": paths["taxonomy"],
+        "datasets": {"train": paths["train"], "test": paths["test"]},
+        "slora": {"feature_dim": 32, "rank": 4, "epochs": 2},
+        "meta": {"epochs": 5},
+    }))
+    for command in ("build-index", "train-slora", "train-meta"):
+        assert main([command, "--config", str(cfg), "--out", str(root / "work")]) == EXIT_OK
+    return {"config": str(cfg), "work": root / "work"}
+
+
 class TestCliFlow:
     def test_synth_command(self, tmp_path, capsys):
         code = main(["synth", "--n", "10", "--seed", "1", "--out", str(tmp_path / "c")])
@@ -395,6 +414,49 @@ class TestCliFlow:
             assert main([command, "--config", str(cfg), "--out", str(work)]) == EXIT_STAGE
         assert "training loss is not finite" in capsys.readouterr().err
         assert not (work / pipeline.ARTIFACTS[artifact]).exists()
+
+    @pytest.mark.parametrize("changes,code", [
+        ({"detectors": [{"kind": "bm25"}, {"kind": "dense"}, {"kind": "slora"}]}, EXIT_STAGE),
+        ({"dense": {"window": 1400}}, EXIT_STAGE),
+        ({"dense": {"overlap": 200}}, EXIT_STAGE),
+        ({"dense": {"min_len": 50}}, EXIT_STAGE),
+        ({"bm25": {"keywords": ["call"]}}, EXIT_STAGE),
+        ({"dense": {"chi": 3}}, EXIT_OK),   # query-time, not part of the store
+    ], ids=["reordered", "window", "overlap", "min_len", "keywords", "chi"])
+    def test_detect_checks_what_artifacts_were_built_with(self, trained, tmp_path, capsys,
+                                                          changes, code):
+        config = {**json.loads(Path(trained["config"]).read_text()), **changes}
+        cfg = tmp_path / "changed.json"
+        cfg.write_text(json.dumps(config))
+        work = shutil.copytree(trained["work"], tmp_path / "work")
+        assert main(["detect", "--config", str(cfg), "--out", str(work)]) == code
+        if code == EXIT_STAGE:
+            producer = "train-meta" if "detectors" in changes else "build-index"
+            assert f"rerun '{producer}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["old format", "truncated"])
+    @pytest.mark.parametrize("artifact,producer", [("bm25_index", "build-index"),
+                                                   ("dense_store", "build-index"),
+                                                   ("meta_ckpt", "train-meta")])
+    def test_malformed_artifact_exits_3(self, trained, tmp_path, capsys, artifact, producer,
+                                        damage):
+        work = shutil.copytree(trained["work"], tmp_path / "work")
+        path = work / pipeline.ARTIFACTS[artifact]
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        elif artifact == "bm25_index":   # per-document token lists, as written before
+            path.write_text(json.dumps({"k1": 1.5, "b": 0.9, "keywords": [], "docs": [
+                {"id": "c0", "labels": [0] * 5, "tokens": ["a"]}]}))
+        else:                            # without the key this format added
+            with np.load(path) as data:
+                kept = {k: data[k] for k in data.files
+                        if k not in ("segmentation", "detectors")}
+            assert len(kept) == len(data.files) - 1
+            np.savez(path, **kept)
+        assert main(["detect", "--config", trained["config"], "--out", str(work)]) \
+            == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert f"cannot read {path}" in err and f"rerun '{producer}'" in err
 
     def test_console_script_installed(self):
         # pytest's `pythonpath` setting reaches only this process, not the child

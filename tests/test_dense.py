@@ -203,6 +203,7 @@ class TestStore:
         assert np.array_equal(loaded.vectors, store.vectors)
         assert loaded.metadata == store.metadata
         assert loaded.dim == store.dim
+        assert loaded.segmentation == store.segmentation == (1500, 300, 100)
 
     def test_pairwise_cosine_bounded(self, taxonomy5):
         store = build_store(store_dataset(taxonomy5, n_contracts=6))

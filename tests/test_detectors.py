@@ -361,6 +361,16 @@ class TestBatchDetect:
         with pytest.raises(ShapeError, match="detector 'short'"):
             batch_detect([Short(1)], [Contract(id=f"c{i}", source="x;") for i in range(3)], 1)
 
+    @pytest.mark.parametrize("waits", [False, True])   # batched, then walked
+    def test_one_value_is_not_broadcast_to_every_label(self, waits):
+        class Narrow(Detector):
+            name, predict = "narrow", lambda self, contract: np.array([0.7])
+
+        narrow = Narrow(5)
+        narrow.waits = waits
+        with pytest.raises(ShapeError, match=r"detector 'narrow'.*\(1,\).*\(5,\)"):
+            batch_detect([narrow], [Contract(id="c0", source="x;")], 5)
+
 
 class TestWaitingDetectorPool:
     def test_one_request_in_flight_per_waiting_detector(self, taxonomy5, mock_endpoint):

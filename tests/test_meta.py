@@ -444,8 +444,9 @@ class TestRowsAndPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         learner = init_meta(psi=3, seed=12)
         path = tmp_path / "meta.npz"
-        save_meta(path, learner, threshold=0.4)
-        loaded, threshold = load_meta(path)
+        save_meta(path, learner, ("dense", "bm25", "slora"), threshold=0.4)
+        loaded, threshold, detectors = load_meta(path)
         assert threshold == 0.4
+        assert detectors == ("dense", "bm25", "slora")
         for key in ("w", "w1", "b1", "w2", "b2", "w3", "b3"):
             assert np.array_equal(getattr(loaded, key), getattr(learner, key))

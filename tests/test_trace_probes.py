@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from vulnfuse import detectors, meta
-from vulnfuse.corpus import Contract
+from vulnfuse import bm25, detectors, meta
+from vulnfuse.corpus import Contract, LabelVector
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer as tracing  # noqa: E402
@@ -39,3 +39,17 @@ def test_walked_detections_and_verify_are_traced():
     assert [s.name for s in tracer.spans].count("meta.forward") == 1
     assert [s.name for s in tracer.spans].count("meta.verify") == 1
     assert np.isnan(record.probs[0]).all()
+
+
+def test_loaded_index_traces_the_same_postings(tmp_path):
+    docs = [["a", "b", "a"], ["b", "c"], ["a", "call"]]
+    index = bm25.Bm25Index(docs, ["x", "y", "z"], [LabelVector(bits=(0,))] * 3)
+    index.save(tmp_path / "index.json")
+    loaded = bm25.Bm25Index.load(tmp_path / "index.json")
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        for searched in (index, loaded):
+            searched.score_all(["a", "b", "a", "unseen"])
+    spans = [s.attrs for s in tracer.spans if s.name == "bm25.score"]
+    # "a" is in two documents and "b" in two; repeats and unseen terms add none
+    assert spans == [{"postings": 4}, {"postings": 4}]
