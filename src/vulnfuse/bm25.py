@@ -11,14 +11,13 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import TOKEN_RE, Contract, Dataset, LabelVector, word_tokens
+from .corpus import TOKEN_RE, Contract, Dataset, check_label_rows, label_matrix, word_tokens
 from .errors import EmptyCorpus, InvalidParameter
 
 DEFAULT_K1 = 1.5
@@ -90,13 +89,6 @@ class RowOrder:
         return pick[np.lexsort((self._rank[pick], -scores[pick]))[:k]]
 
 
-@dataclass(frozen=True)
-class RetrievalHit:
-    contract_id: str
-    score: float
-    labels: LabelVector
-
-
 def check_params(k1: float, b: float, top_k: int = DEFAULT_TOP_K) -> None:
     """BM25 needs k1 >= 0, 0 <= b <= 1 and a positive top-k."""
     if not k1 >= 0.0:
@@ -113,7 +105,8 @@ class Bm25Index:
     `vocab` maps each term to its id in sorted term order. Term t's postings
     are `_post_docs[_post_indptr[t]:_post_indptr[t + 1]]`, documents ascending,
     with their term counts in `_post_counts`. Every other statistic is derived
-    from these arrays, and `save` stores them as they are.
+    from these arrays, and `save` stores them as they are. `labels` holds one
+    0/1 row per document.
     """
 
     def __init__(self, doc_tokens, ids, labels, k1=DEFAULT_K1, b=DEFAULT_B,
@@ -138,8 +131,6 @@ class Bm25Index:
         check_params(k1, b)
         if not ids:
             raise EmptyCorpus("cannot build a BM25 index from zero documents")
-        if len(labels) != len(ids):
-            raise ValueError(f"{len(ids)} ids but {len(labels)} label vectors")
         if len(indptr) != len(terms) + 1 or indptr[0] != 0 or (np.diff(indptr) < 0).any():
             raise ValueError("indptr must start at 0 and not decrease, one step per term")
         if not indptr[-1] == len(docs) == len(counts):
@@ -150,7 +141,7 @@ class Bm25Index:
             raise ValueError("terms are not unique and sorted")
         self.vocab = {term: tid for tid, term in enumerate(terms)}
         self._post_indptr, self._post_docs, self._post_counts = indptr, docs, counts
-        self.ids, self.labels = list(ids), list(labels)
+        self.ids, self.labels = list(ids), check_label_rows(labels, len(ids))
         self.k1, self.b, self.keywords = float(k1), float(b), tuple(keywords)
         self.N = len(self.ids)
         self.doc_freq = dict(zip(terms, np.diff(indptr).tolist()))
@@ -201,7 +192,7 @@ class Bm25Index:
 
     def save(self, path) -> None:
         payload = {"k1": self.k1, "b": self.b, "keywords": list(self.keywords), "ids": self.ids,
-                   "labels": [list(lv.bits) for lv in self.labels], "terms": list(self.vocab),
+                   "labels": self.labels.tolist(), "terms": list(self.vocab),
                    "indptr": self._post_indptr.tolist(), "docs": self._post_docs.tolist(),
                    "counts": self._post_counts.astype(np.int64).tolist()}
         Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
@@ -214,45 +205,32 @@ class Bm25Index:
         index._set(payload["terms"], np.asarray(payload["indptr"], dtype=np.int64),
                    np.asarray(payload["docs"], dtype=np.int64),
                    np.asarray(payload["counts"], dtype=np.float64), payload["ids"],
-                   [LabelVector(bits=tuple(bits)) for bits in payload["labels"]],
-                   payload["k1"], payload["b"], payload["keywords"])
+                   payload["labels"], payload["k1"], payload["b"], payload["keywords"])
         return index
 
 
 def build_bm25(train: Dataset, k1=DEFAULT_K1, b=DEFAULT_B,
                keywords: Sequence[str] = DEFAULT_KEYWORDS) -> Bm25Index:
-    zeros = LabelVector.zeros(len(train.taxonomy))
     return Bm25Index([tokenize(c.source, keywords) for c in train], train.ids(),
-                     [zeros if c.labels is None else c.labels for c in train],
+                     label_matrix(train.contracts, len(train.taxonomy)),
                      k1=k1, b=b, keywords=keywords)
 
 
-def bm25_retrieve(query: Contract, index: Bm25Index, k: int = DEFAULT_TOP_K) -> list[RetrievalHit]:
-    """Top-k hits by descending score, ties by ascending id, self excluded."""
+def bm25_retrieve(query: Contract, index: Bm25Index,
+                  k: int = DEFAULT_TOP_K) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, scores) of the top-k documents by descending score, ties by ascending
+    id, self excluded."""
     check_params(index.k1, index.b, k)
     scores = index.score_all(tokenize(query.source, index.keywords))
     rows = index._row_order.top(scores, k, exclude=query.id)
-    return [
-        RetrievalHit(contract_id=index.ids[i], score=float(scores[i]), labels=index.labels[i])
-        for i in rows.tolist()
-    ]
+    return rows, scores[rows]
 
 
-def threshold_vote(hits: Sequence[RetrievalHit], threshold: float,
-                   num_labels: Optional[int] = None) -> LabelVector:
-    """Set label j iff at least `threshold` hits carry it."""
-    if num_labels is None:
-        if not hits:
-            raise InvalidParameter("num_labels required when the hit list is empty")
-        num_labels = len(hits[0].labels)
-    counts = [0] * num_labels
-    for hit in hits:
-        for j, bit in enumerate(hit.labels.bits):
-            counts[j] += bit
-    return LabelVector(bits=tuple(1 if c >= threshold else 0 for c in counts))
+def threshold_vote(hit_labels: np.ndarray, threshold: float) -> np.ndarray:
+    """Set label j iff at least `threshold` of the hits' (hits, L) label rows carry it."""
+    return (hit_labels.sum(axis=0) >= threshold).astype(np.int64)
 
 
-def bm25_vote(hits: Sequence[RetrievalHit], threshold: int = DEFAULT_VOTE_THRESHOLD,
-              num_labels: Optional[int] = None) -> LabelVector:
+def bm25_vote(hit_labels: np.ndarray, threshold: int = DEFAULT_VOTE_THRESHOLD) -> np.ndarray:
     """Set label j iff at least `threshold` of the top-k hits carry it."""
-    return threshold_vote(hits, threshold, num_labels)
+    return threshold_vote(hit_labels, threshold)

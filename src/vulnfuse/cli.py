@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import pipeline, synth
-from .config import load_config
+from .config import _check_ranges, load_config
 from .errors import AllDetectorsFailed, ConfigError, StageError, VulnfuseError
 
 EXIT_OK = 0
@@ -100,6 +100,7 @@ def _config_with_overrides(args) -> "pipeline.PipelineConfig":
             target = target.get(args.command, target[None])
         section, _, attr = target.rpartition(".")
         setattr(getattr(config, section) if section else config, attr, value)
+    _check_ranges(config)
     return config
 
 

@@ -198,8 +198,13 @@ def _is_keyword_list(value) -> bool:
 
 
 def _check_ranges(config: PipelineConfig) -> None:
-    """Run the stage parameter validators now, so bad values fail at load."""
+    """Run the stage parameter validators at load, and in the CLI after its override flags."""
     bm25, dense, slora, meta = config.bm25, config.dense, config.slora, config.meta
+    bad = [key for key, ok in (("seed", config.seed >= 0),
+                               ("bm25.vote_threshold", bm25.vote_threshold >= 1),
+                               ("external.timeout", config.external.timeout > 0)) if not ok]
+    if bad:
+        raise ConfigError(f"config values out of range: {bad}", keys=bad)
     try:
         bm25_mod.check_params(bm25.k1, bm25.b, bm25.top_k)
         SegmentationParams(dense.window, dense.overlap, dense.min_len, dense.chi)

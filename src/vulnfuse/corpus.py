@@ -22,36 +22,12 @@ from .errors import EmptyContract, ParseError, SchemaError
 
 
 @dataclass(frozen=True)
-class LabelVector:
-    """Binary vector over the configured vulnerability taxonomy."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise SchemaError(f"label bits must be 0 or 1, got {self.bits}")
-
-    def __len__(self):
-        return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def names(self, taxonomy: Sequence[str]) -> tuple[str, ...]:
-        return tuple(name for name, bit in zip(taxonomy, self.bits) if bit)
-
-    @classmethod
-    def zeros(cls, length: int) -> "LabelVector":
-        return cls(bits=(0,) * length)
-
-
-@dataclass(frozen=True)
 class Contract:
     """One preprocessed smart contract with optional ground-truth labels."""
 
     id: str
     source: str
-    labels: Optional[LabelVector] = None
+    labels: Optional[tuple[int, ...]] = None  # one 0 or 1 per taxonomy label
 
 
 @dataclass(frozen=True)
@@ -197,14 +173,38 @@ def _records(path):
             yield index, record
 
 
-def _labels(index: int, record: dict, taxonomy: Sequence[str]) -> Optional[LabelVector]:
-    """The record's label vector, checked against the taxonomy; None if unlabeled."""
+def _labels(index: int, record: dict, taxonomy: Sequence[str]) -> Optional[tuple[int, ...]]:
+    """The record's labels, one integer 0 or 1 per taxonomy label; None if unlabeled."""
     bits = record.get("labels")
     if bits is None:
         return None
+    where = f"record {index} ({record['id']!r})"
+    # bool is an int subclass; JSON true/false are not labels
+    if not (isinstance(bits, list) and all(type(b) is int and b in (0, 1) for b in bits)):
+        raise SchemaError(f"{where}: labels must be a JSON array of integers 0 or 1, "
+                          f"got {bits!r}")
     if len(bits) != len(taxonomy):
-        raise SchemaError(f"record {index}: {len(bits)} labels for taxonomy of {len(taxonomy)}")
-    return LabelVector(bits=tuple(int(b) for b in bits))
+        raise SchemaError(f"{where}: {len(bits)} labels for taxonomy of {len(taxonomy)}")
+    return tuple(bits)
+
+
+def label_matrix(contracts: Sequence[Contract], num_labels: int) -> np.ndarray:
+    """(n, num_labels) int64 labels, one row per contract; zeros where unlabeled."""
+    zeros = (0,) * num_labels
+    rows = [zeros if c.labels is None else c.labels for c in contracts]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), num_labels)
+
+
+def check_label_rows(labels, rows: int) -> np.ndarray:
+    """`labels` as an int64 array of `rows` rows of 0s and 1s; ValueError if it is not one."""
+    labels = np.asarray(labels)
+    if len(labels) != rows:
+        raise ValueError(f"{rows} ids but {len(labels)} label vectors")
+    if labels.ndim != 2 or labels.size and (labels.dtype.kind not in "iu"
+                                            or not np.isin(labels, (0, 1)).all()):
+        raise ValueError(f"labels must be rows of integers 0 or 1, got {labels.dtype} "
+                         f"of shape {labels.shape}")
+    return labels.astype(np.int64)
 
 
 def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
@@ -230,8 +230,8 @@ def read_ids(path) -> tuple[str, ...]:
     return tuple(record["id"] for _, record in _records(path))
 
 
-def read_labels(path, taxonomy: Sequence[str]) -> dict[str, Optional[LabelVector]]:
-    """Label vector (or None) by contract id, checked like `ingest` but not preprocessed."""
+def read_labels(path, taxonomy: Sequence[str]) -> dict[str, Optional[tuple[int, ...]]]:
+    """Labels (or None) by contract id, checked like `ingest` but not preprocessed."""
     return {record["id"]: _labels(index, record, taxonomy) for index, record in _records(path)}
 
 

@@ -7,14 +7,13 @@ boundaries are identical on every platform. The embedder hashes token
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bm25 import RetrievalHit, RowOrder, threshold_vote
-from .corpus import Contract, Dataset, LabelVector, signed_buckets, word_tokens
+from .bm25 import RowOrder, threshold_vote
+from .corpus import Contract, Dataset, check_label_rows, label_matrix, signed_buckets, word_tokens
 from .errors import EmptyFragment, EmptyStore, InvalidParameter, NoFragments
 
 DEFAULT_WINDOW = 1500
@@ -42,16 +41,13 @@ class SegmentationParams:
 
 @dataclass(frozen=True)
 class Fragment:
-    parent_id: str
     frag_index: int
     text: str
     start: int
     end: int
-    labels: Optional[LabelVector] = None
 
 
-def segment(source: str, params: SegmentationParams = SegmentationParams(), *,
-            parent_id: str = "", labels: Optional[LabelVector] = None) -> list[Fragment]:
+def segment(source: str, params: SegmentationParams = SegmentationParams()) -> list[Fragment]:
     """Overlapping windows at stride window-overlap; short or contained tails drop."""
     data = source.encode("utf-8")
     length = len(data)
@@ -65,12 +61,10 @@ def segment(source: str, params: SegmentationParams = SegmentationParams(), *,
         contained = end <= prev_end  # tail window already covered by the previous one
         if end - start >= params.min_len and not contained:
             fragments.append(Fragment(
-                parent_id=parent_id,
                 frag_index=index,
                 text=data[start:end].decode("utf-8", errors="replace"),
                 start=start,
                 end=end,
-                labels=labels,
             ))
             index += 1
         prev_end = max(prev_end, end)
@@ -114,98 +108,85 @@ class HashingEmbedder:
         return vec / norm
 
 
-@dataclass
-class StoreMeta:
-    parent_id: str
-    frag_index: int
-    labels: LabelVector
-
-
 class VectorStore:
     """Flat store of unit vectors scanned exhaustively with cosine similarity.
 
-    `segmentation` is the (window, overlap, min_len) the stored fragments were
-    cut with; queries must be cut the same way.
+    Row i is fragment `frag_index[i]` of contract `parent_ids[i]`, whose 0/1
+    labels are `labels[i]`. `segmentation` is the (window, overlap, min_len)
+    the stored fragments were cut with; queries must be cut the same way.
     """
 
-    def __init__(self, vectors: np.ndarray, metadata: list[StoreMeta], dim: int,
-                 segmentation: tuple[int, int, int]):
-        if vectors.shape[0] != len(metadata):
-            raise InvalidParameter("metadata length must equal vector count")
+    def __init__(self, vectors: np.ndarray, parent_ids: Sequence[str], frag_index: np.ndarray,
+                 labels: np.ndarray, dim: int, segmentation: tuple[int, int, int]):
+        if not vectors.shape[0] == len(parent_ids) == len(frag_index):
+            raise ValueError(f"{vectors.shape[0]} vectors but {len(parent_ids)} ids and "
+                             f"{len(frag_index)} fragment indices")
         self.vectors = vectors
-        self.metadata = metadata
+        self.parent_ids = list(parent_ids)
+        self.frag_index = np.asarray(frag_index, dtype=np.int64)
+        self.labels = check_label_rows(labels, len(self.parent_ids))
         self.dim = dim
         self.segmentation = segmentation
-        self._row_order = RowOrder([(m.parent_id, m.frag_index) for m in metadata],
+        self._row_order = RowOrder(list(zip(self.parent_ids, self.frag_index.tolist())),
                                    group=lambda key: key[0])
 
     def __len__(self):
         return self.vectors.shape[0]
 
     def save(self, path) -> None:
-        meta = [
-            {"parent_id": m.parent_id, "frag_index": m.frag_index, "labels": list(m.labels.bits)}
-            for m in self.metadata
-        ]
         np.savez(
             path,
             vectors=self.vectors,
             dim=np.int64(self.dim),
             segmentation=np.array(self.segmentation, dtype=np.int64),
-            metadata=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
+            parent_ids=np.array(self.parent_ids, dtype=str),
+            frag_index=self.frag_index,
+            labels=self.labels,
         )
 
     @classmethod
     def load(cls, path) -> "VectorStore":
+        """The store `save` wrote; KeyError or ValueError if the file is not one."""
         with np.load(path) as data:
-            vectors = data["vectors"]
-            dim = int(data["dim"])
-            segmentation = tuple(data["segmentation"].tolist())
-            meta = json.loads(bytes(data["metadata"]).decode("utf-8"))
-        metadata = [
-            StoreMeta(m["parent_id"], m["frag_index"], LabelVector(bits=tuple(m["labels"])))
-            for m in meta
-        ]
-        return cls(vectors, metadata, dim, segmentation)
+            return cls(data["vectors"], data["parent_ids"].tolist(), data["frag_index"],
+                       data["labels"], int(data["dim"]),
+                       tuple(data["segmentation"].tolist()))
 
 
 def build_store(train: Dataset, params: SegmentationParams = SegmentationParams(),
                 embedder: Optional[HashingEmbedder] = None) -> VectorStore:
     """Segment and embed every training contract into one flat store."""
     embedder = embedder or HashingEmbedder()
-    vectors, metadata = [], []
-    for contract in train:
-        labels = contract.labels if contract.labels is not None \
-            else LabelVector.zeros(len(train.taxonomy))
-        for frag in segment(contract.source, params, parent_id=contract.id, labels=labels):
+    vectors, rows, frag_index = [], [], []  # rows: each fragment's contract
+    for row, contract in enumerate(train):
+        for frag in segment(contract.source, params):
             vectors.append(embedder.embed(frag.text))
-            metadata.append(StoreMeta(contract.id, frag.frag_index, labels))
+            rows.append(row)
+            frag_index.append(frag.frag_index)
     if not vectors:
         raise EmptyStore("dataset produced zero fragments")
-    return VectorStore(np.stack(vectors), metadata, embedder.dim,
+    ids = train.ids()
+    return VectorStore(np.stack(vectors), [ids[row] for row in rows], frag_index,
+                       label_matrix(train.contracts, len(train.taxonomy))[rows], embedder.dim,
                        (params.window, params.overlap, params.min_len))
 
 
 def dense_retrieve(query: Contract, store: VectorStore,
                    params: SegmentationParams = SegmentationParams(),
-                   embedder: Optional[HashingEmbedder] = None) -> list[RetrievalHit]:
-    """Per query fragment, the chi best foreign vectors by cosine similarity."""
+                   embedder: Optional[HashingEmbedder] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, scores): per query fragment in turn, the chi best foreign rows by
+    cosine similarity."""
     embedder = embedder or HashingEmbedder(store.dim)
     fragments = segment(query.source, params)
     if not fragments:
         raise NoFragments(f"query {query.id!r} yields no fragments")
-    hits = []
+    rows, scores = [], []
     for frag in fragments:
-        q = embedder.embed(frag.text)
-        scores = store.vectors @ q
-        for i in store._row_order.top(scores, params.chi, exclude=query.id).tolist():
-            meta = store.metadata[i]
-            hits.append(RetrievalHit(
-                contract_id=meta.parent_id,
-                score=float(scores[i]),
-                labels=meta.labels,
-            ))
-    return hits
+        similarity = store.vectors @ embedder.embed(frag.text)
+        top = store._row_order.top(similarity, params.chi, exclude=query.id)
+        rows.append(top)
+        scores.append(similarity[top])
+    return np.concatenate(rows), np.concatenate(scores)
 
 
 def dynamic_threshold(n_retrieved: int) -> float:
@@ -213,6 +194,6 @@ def dynamic_threshold(n_retrieved: int) -> float:
     return max(n_retrieved * 0.4, 1.0)
 
 
-def dense_vote(hits: Sequence[RetrievalHit], num_labels: Optional[int] = None) -> LabelVector:
+def dense_vote(hit_labels: np.ndarray) -> np.ndarray:
     """One vote per hit per carried label; keep labels with votes >= threshold."""
-    return threshold_vote(hits, dynamic_threshold(len(hits)), num_labels)
+    return threshold_vote(hit_labels, dynamic_threshold(len(hit_labels)))

@@ -122,9 +122,8 @@ class Bm25Detector(Detector):
         self.vote_threshold = vote_threshold
 
     def predict(self, contract):
-        hits = bm25_retrieve(contract, self.index, self.top_k)
-        vote = bm25_vote(hits, self.vote_threshold, num_labels=self.num_labels)
-        return np.array(vote.bits, dtype=np.float64)
+        rows, _ = bm25_retrieve(contract, self.index, self.top_k)
+        return bm25_vote(self.index.labels[rows], self.vote_threshold).astype(np.float64)
 
 
 class DenseDetector(Detector):
@@ -138,9 +137,8 @@ class DenseDetector(Detector):
         self.embedder = HashingEmbedder(store.dim)
 
     def predict(self, contract):
-        hits = dense_retrieve(contract, self.store, self.params, self.embedder)
-        vote = dense_vote(hits, num_labels=self.num_labels)
-        return np.array(vote.bits, dtype=np.float64)
+        rows, _ = dense_retrieve(contract, self.store, self.params, self.embedder)
+        return dense_vote(self.store.labels[rows]).astype(np.float64)
 
 
 class SloraDetector(Detector):

@@ -14,7 +14,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import LabelVector
 from .detectors import Detections
 from .errors import EmptyDataset, InvalidParameter, NumericError, ShapeError
 from .sgd import bce_loss, fit, sigmoid
@@ -247,13 +246,11 @@ def export_rows_csv(path, rows: np.ndarray, targets: np.ndarray,
         fh.write("\n".join(lines) + "\n")
 
 
-def rows_from_results(record: Detections,
-                      truths: Sequence[LabelVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Build (rows, targets): one row per (contract, label) cell."""
-    n, num_labels = record.probs.shape[1:]
-    targets = np.asarray([bit for truth in truths for bit in truth.bits], dtype=np.float64)
-    if len(truths) != n or targets.size != n * num_labels:
+def rows_from_results(record: Detections, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Build (rows, targets) from (n, L) truths: one row per (contract, label) cell."""
+    targets = np.asarray(truths, dtype=np.float64)
+    if targets.shape != record.probs.shape[1:]:
         raise ShapeError("results and truths must align")
     if not targets.size:
         raise EmptyDataset("no meta-training rows")
-    return _rows(record), targets
+    return _rows(record), targets.ravel()

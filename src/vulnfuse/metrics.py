@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
 
-from .corpus import LabelVector
+import numpy as np
+
 from .errors import ShapeError
 
 
@@ -17,12 +17,7 @@ class MetricSet:
     f1: float
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -39,26 +34,16 @@ class EvalSummary:
         return out
 
 
-def compute_metrics(predictions: Sequence[LabelVector],
-                    truths: Sequence[LabelVector]) -> MetricSet:
-    """Pool TP/FP/FN over every cell; F1 = 2PR/(P+R), 0 when P+R = 0."""
-    if len(predictions) != len(truths):
-        raise ShapeError(f"{len(predictions)} predictions vs {len(truths)} truths")
-    tp = fp = fn = 0
-    exact = 0
-    for pred, truth in zip(predictions, truths):
-        if len(pred) != len(truth):
-            raise ShapeError("prediction/truth label length mismatch")
-        if pred.bits == truth.bits:
-            exact += 1
-        for p, t in zip(pred.bits, truth.bits):
-            if p and t:
-                tp += 1
-            elif p and not t:
-                fp += 1
-            elif t and not p:
-                fn += 1
-    n = len(predictions)
+def compute_metrics(predictions, truths) -> MetricSet:
+    """Pool TP/FP/FN over every cell of two (n, L) 0/1 arrays; F1 = 2PR/(P+R), 0 when P+R = 0."""
+    pred, truth = np.asarray(predictions, dtype=bool), np.asarray(truths, dtype=bool)
+    if pred.ndim != 2 or pred.shape != truth.shape:
+        raise ShapeError(f"predictions of shape {pred.shape} vs truths of shape {truth.shape}")
+    tp = int(np.count_nonzero(pred & truth))
+    fp = int(np.count_nonzero(pred & ~truth))
+    fn = int(np.count_nonzero(truth & ~pred))
+    exact = int(np.count_nonzero((pred == truth).all(axis=1)))
+    n = len(pred)
     accuracy = exact / n if n else 0.0
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0

@@ -21,7 +21,7 @@ from . import dense as dense_mod
 from . import meta as meta_mod
 from . import slora as slora_mod
 from .config import PipelineConfig
-from .corpus import (Dataset, LabelVector, check_disjoint, ingest, load_taxonomy, read_ids,
+from .corpus import (Dataset, check_disjoint, ingest, label_matrix, load_taxonomy, read_ids,
                      read_labels)
 from .detectors import (
     Bm25Detector,
@@ -257,7 +257,8 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
     detectors = build_detectors(config, train.taxonomy, workdir)
     labeled = [c for c in holdout if c.labels is not None]
     record = batch_detect(detectors, labeled, len(train.taxonomy))
-    rows, targets = meta_mod.rows_from_results(record, [c.labels for c in labeled])
+    rows, targets = meta_mod.rows_from_results(record,
+                                               label_matrix(labeled, len(train.taxonomy)))
     learner, result = meta_mod.train_meta(
         rows, targets,
         meta_mod.MetaTrainConfig(
@@ -304,10 +305,24 @@ def stage_detect(config: PipelineConfig, workdir) -> dict:
     return {"contracts": len(test), "mean_seconds": timings}
 
 
-def _read_results(workdir) -> list[dict]:
-    path = _require(workdir, "results", "detect")
+def _read_results(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
             if line.strip()]
+
+
+def _score(records: list[dict], truth_by_id: dict) -> EvalSummary:
+    """Each detector's metrics and the verified labels' over the labeled contracts."""
+    records = [rec for rec in records if truth_by_id.get(rec["id"]) is not None]
+    truths = np.array([truth_by_id[rec["id"]] for rec in records], dtype=np.int64)
+    summary = EvalSummary()
+    for name in sorted({name for rec in records for name in rec["detectors"]}):
+        scored = [i for i, rec in enumerate(records) if rec["detectors"].get(name) is not None]
+        if scored:
+            probs = np.array([records[i]["detectors"][name] for i in scored])
+            summary.per_detector[name] = compute_metrics(probs >= 0.5, truths[scored])
+    if records:
+        summary.verified = compute_metrics([rec["verified_labels"] for rec in records], truths)
+    return summary
 
 
 def stage_evaluate(config: PipelineConfig, workdir) -> EvalSummary:
@@ -315,31 +330,9 @@ def stage_evaluate(config: PipelineConfig, workdir) -> EvalSummary:
     taxonomy, paths = _dataset_files(config)
     truth_by_id = read_labels(paths["test"], taxonomy)
     check_disjoint(truth_by_id, read_ids(paths["train"]))
-    records = _read_results(workdir)
-    summary = EvalSummary()
-
-    detector_names = sorted({name for rec in records for name in rec["detectors"]})
-    for name in detector_names:
-        preds, truths = [], []
-        for rec in records:
-            truth = truth_by_id.get(rec["id"])
-            probs = rec["detectors"].get(name)
-            if truth is None or probs is None:
-                continue
-            preds.append(LabelVector(bits=tuple(1 if p >= 0.5 else 0 for p in probs)))
-            truths.append(truth)
-        if preds:
-            summary.per_detector[name] = compute_metrics(preds, truths)
-
-    verified_preds, verified_truths = [], []
-    for rec in records:
-        truth = truth_by_id.get(rec["id"])
-        if truth is None:
-            continue
-        verified_preds.append(LabelVector(bits=tuple(rec["verified_labels"])))
-        verified_truths.append(truth)
-    if verified_preds:
-        summary.verified = compute_metrics(verified_preds, verified_truths)
+    # a line that does not parse, or rows that do not fit the taxonomy, is a StageError
+    summary = _load(workdir, "results", "detect",
+                    lambda path: _score(_read_results(path), truth_by_id))
 
     timings_path = _artifact(workdir, "timings")
     if timings_path.exists():
@@ -353,7 +346,7 @@ def stage_evaluate(config: PipelineConfig, workdir) -> EvalSummary:
 
 def stage_report(config: PipelineConfig, workdir, contract_id=None) -> list[str]:
     test = _load_split(config, "test")
-    records = _read_results(workdir)
+    records = _load(workdir, "results", "detect", _read_results)
     knowledge = load_knowledge(config.knowledge_path) if config.knowledge_path else None
     template = (load_prompt_template(config.prompt_template_path)
                 if config.prompt_template_path else COT_PROMPT_TEMPLATE)
@@ -364,8 +357,7 @@ def stage_report(config: PipelineConfig, workdir, contract_id=None) -> list[str]
         if contract_id is not None and rec["id"] != contract_id:
             continue
         contract = test.get(rec["id"])
-        labels = LabelVector(bits=tuple(rec["verified_labels"]))
-        probs = rec["verified_probabilities"]
+        labels, probs = rec["verified_labels"], rec["verified_probabilities"]
         if config.external.report_endpoint:
             text, _ = llm_report(contract, labels, probs, test.taxonomy,
                                  config.external.report_endpoint, knowledge,

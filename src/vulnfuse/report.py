@@ -16,7 +16,7 @@ import urllib.request
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import Contract, LabelVector
+from .corpus import Contract
 
 SECTION_HEADERS = (
     "Location and manifestation",
@@ -203,13 +203,13 @@ def _sections_for(label: str, knowledge: dict) -> tuple[dict, bool]:
     return GENERIC_SECTIONS, True
 
 
-def render_report(contract: Contract, final_labels: LabelVector,
+def render_report(contract: Contract, final_labels: Sequence[int],
                   probabilities: Sequence[float], taxonomy: Sequence[str],
                   knowledge: Optional[dict] = None) -> str:
-    """Deterministic Markdown report for one contract's verified labels."""
+    """Deterministic Markdown report for one contract's verified 0/1 labels."""
     knowledge = DEFAULT_KNOWLEDGE if knowledge is None else knowledge
     detected = [(name, probabilities[i]) for i, name in enumerate(taxonomy)
-                if final_labels.bits[i]]
+                if final_labels[i]]
     lines = [f"# Vulnerability report for contract `{contract.id}`", ""]
     if not detected:
         lines += [
@@ -259,7 +259,7 @@ def _reply_has_all_sections(text: str, labels: Sequence[str]) -> bool:
     )
 
 
-def llm_report(contract: Contract, final_labels: LabelVector,
+def llm_report(contract: Contract, final_labels: Sequence[int],
                probabilities: Sequence[float], taxonomy: Sequence[str],
                endpoint: str, knowledge: Optional[dict] = None,
                timeout: float = 30.0,
@@ -269,7 +269,7 @@ def llm_report(contract: Contract, final_labels: LabelVector,
     Returns (markdown, used_fallback). Transport errors and replies missing
     any of the five section headers both trigger the fallback.
     """
-    detected = final_labels.names(taxonomy)
+    detected = [name for name, bit in zip(taxonomy, final_labels) if bit]
     fallback = render_report(contract, final_labels, probabilities, taxonomy, knowledge)
     if not detected:
         return fallback, False

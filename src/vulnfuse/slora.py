@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, signed_buckets, word_tokens
+from .corpus import Dataset, label_matrix, signed_buckets, word_tokens
 from .errors import EmptyDataset, InvalidParameter, ShapeError
 from .sgd import bce_loss, fit, sigmoid
 
@@ -294,7 +294,7 @@ def features_from_dataset(dataset: Dataset, extractor: HashedFeatureExtractor):
     if not labeled:
         raise EmptyDataset("dataset has no labeled contracts")
     x = np.stack([extractor.extract(c.source) for c in labeled])
-    y = np.array([c.labels.bits for c in labeled], dtype=np.float64)
+    y = label_matrix(labeled, len(dataset.taxonomy)).astype(np.float64)
     return x, y
 
 

@@ -4,7 +4,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from vulnfuse.corpus import Contract, Dataset, LabelVector
+from vulnfuse.corpus import Contract, Dataset
 
 
 @pytest.fixture
@@ -17,7 +17,7 @@ def make_dataset(sources_labels, taxonomy, split="train", prefix="c"):
     """Dataset from (source, bits) pairs; sources are used verbatim."""
     contracts = tuple(
         Contract(id=f"{prefix}{i:03d}", source=src,
-                 labels=LabelVector(bits=tuple(bits)) if bits is not None else None)
+                 labels=tuple(bits) if bits is not None else None)
         for i, (src, bits) in enumerate(sources_labels)
     )
     return Dataset(contracts=contracts, taxonomy=tuple(taxonomy),

@@ -236,8 +236,8 @@ def test_criterion_07_segmentation_counts(taxonomy5):
         fragments = segment(source, params)
         want = expected_fragment_count(length, params)
         assert len(fragments) == want, f"L={length}"
-        hits = dense_retrieve(Contract(id="query", source=source), store, params)
-        assert len(hits) == params.chi * want, f"L={length}"
+        rows, scores = dense_retrieve(Contract(id="query", source=source), store, params)
+        assert len(rows) == len(scores) == params.chi * want, f"L={length}"
         checked += 1
     print(f"PASS criterion 7: fragment and retrieval counts match ceil formula "
           f"for {checked} lengths")
@@ -263,10 +263,10 @@ def test_criterion_09_self_exclusion(tmp_path_factory, taxonomy5):
     store = build_store(dataset)
     params = SegmentationParams()
     for contract in dataset:
-        hits = bm25_retrieve(contract, index, k=200)
-        assert all(h.contract_id != contract.id for h in hits)
-        dense_hits = dense_retrieve(contract, store, params)
-        assert all(h.contract_id != contract.id for h in dense_hits)
+        rows, _ = bm25_retrieve(contract, index, k=200)
+        assert all(index.ids[i] != contract.id for i in rows)
+        dense_rows, _ = dense_retrieve(contract, store, params)
+        assert all(store.parent_ids[i] != contract.id for i in dense_rows)
     print("PASS criterion 9: zero self-hits across 200 contracts in both pathways")
 
 

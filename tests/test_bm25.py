@@ -12,9 +12,10 @@ from vulnfuse.bm25 import (
     bm25_retrieve,
     bm25_vote,
     build_bm25,
+    threshold_vote,
     tokenize,
 )
-from vulnfuse.corpus import Contract, LabelVector
+from vulnfuse.corpus import Contract
 from vulnfuse.errors import EmptyCorpus, InvalidParameter
 
 from conftest import make_dataset
@@ -120,6 +121,7 @@ class TestBuild:
         assert index.avg_len == sum(len(tokenize(d)) for d in docs) / index.N
         assert all(0 < n <= index.N for n in index.doc_freq.values())
         assert len(index.ids) == len(index.labels) == index.N
+        assert same_bits(index.labels, np.zeros((index.N, 5), dtype=np.int64))
 
 
 class TestIdf:
@@ -188,21 +190,23 @@ class TestRetrieve:
     def test_identical_doc_ranks_first(self, taxonomy5):
         ds, index = self._index(taxonomy5)
         query = Contract(id="query", source="delta echo foxtrot unique2")
-        hits = bm25_retrieve(query, index, k=3)
-        assert hits[0].contract_id == "c002"
+        rows, _ = bm25_retrieve(query, index, k=3)
+        assert index.ids[rows[0]] == "c002"
+        assert index.labels[rows[0]].tolist() == [0, 1, 0, 0, 0]
 
     def test_self_excluded(self, taxonomy5):
         ds, index = self._index(taxonomy5)
-        hits = bm25_retrieve(ds.contracts[0], index, k=10)
-        assert all(h.contract_id != "c000" for h in hits)
-        assert len(hits) == 3
+        rows, scores = bm25_retrieve(ds.contracts[0], index, k=10)
+        assert all(index.ids[i] != "c000" for i in rows)
+        assert len(rows) == len(scores) == 3
 
     def test_tie_broken_by_ascending_id(self, taxonomy5):
         ds = make_dataset([("alpha bravo", [0] * 5)] * 5, taxonomy5)
         index = build_bm25(ds)
         query = Contract(id="query", source="alpha bravo")
-        hits = bm25_retrieve(query, index, k=5)
-        assert [h.contract_id for h in hits] == sorted(h.contract_id for h in hits)
+        rows, _ = bm25_retrieve(query, index, k=5)
+        ids = [index.ids[i] for i in rows]
+        assert ids == sorted(ids)
 
     def test_invalid_k(self, taxonomy5):
         _, index = self._index(taxonomy5)
@@ -211,44 +215,60 @@ class TestRetrieve:
 
     def test_at_most_k(self, taxonomy5):
         _, index = self._index(taxonomy5)
-        hits = bm25_retrieve(Contract(id="q", source="alpha"), index, k=2)
-        assert len(hits) == 2
+        rows, scores = bm25_retrieve(Contract(id="q", source="alpha"), index, k=2)
+        assert len(rows) == len(scores) == 2
 
     def test_scores_descending(self, taxonomy5):
         _, index = self._index(taxonomy5)
-        hits = bm25_retrieve(Contract(id="q", source="alpha bravo delta"), index, k=4)
-        scores = [h.score for h in hits]
-        assert scores == sorted(scores, reverse=True)
+        _, scores = bm25_retrieve(Contract(id="q", source="alpha bravo delta"), index, k=4)
+        assert scores.tolist() == sorted(scores.tolist(), reverse=True)
+
+
+def oracle_threshold_vote(hit_labels, threshold, num_labels):
+    """The per-hit, per-label counting loop that voting replaced, kept as a reference."""
+    counts = [0] * num_labels
+    for labels in hit_labels:
+        for j, bit in enumerate(labels):
+            counts[j] += bit
+    return [1 if c >= threshold else 0 for c in counts]
+
+
+# (hits, L) 0/1 label rows, zero hits included
+HIT_LABELS = st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 1), min_size=width, max_size=width), max_size=12).map(
+    lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width)))
 
 
 class TestVote:
     def _hits(self, label_sets):
-        return [
-            type("Hit", (), {"labels": LabelVector(bits=tuple(bits)), "contract_id": str(i),
-                             "score": 1.0})()
-            for i, bits in enumerate(label_sets)
-        ]
+        return np.array(label_sets, dtype=np.int64)
 
     def test_threshold_met(self):
         hits = self._hits([[1, 0]] * 5 + [[0, 0]] * 2)
-        assert bm25_vote(hits, threshold=4).bits == (1, 0)
+        assert bm25_vote(hits, threshold=4).tolist() == [1, 0]
 
     def test_threshold_not_met(self):
         hits = self._hits([[1, 0]] * 3 + [[0, 0]] * 4)
-        assert bm25_vote(hits, threshold=4).bits == (0, 0)
+        assert bm25_vote(hits, threshold=4).tolist() == [0, 0]
 
     def test_empty_hits(self):
-        assert bm25_vote([], threshold=4, num_labels=3).bits == (0, 0, 0)
+        assert bm25_vote(np.zeros((0, 3), dtype=np.int64), threshold=4).tolist() == [0, 0, 0]
 
     def test_order_invariant(self):
         label_sets = [[1, 0], [0, 1], [1, 1], [1, 0], [1, 1], [0, 0], [1, 0]]
         hits = self._hits(label_sets)
-        rng = random.Random(2)
-        baseline = bm25_vote(hits, threshold=3).bits
+        rng = np.random.default_rng(2)
+        baseline = bm25_vote(hits, threshold=3).tolist()
         for _ in range(5):
-            shuffled = hits[:]
-            rng.shuffle(shuffled)
-            assert bm25_vote(shuffled, threshold=3).bits == baseline
+            assert bm25_vote(rng.permutation(hits), threshold=3).tolist() == baseline
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(hit_labels=HIT_LABELS, threshold=st.integers(-2, 14))
+    def test_matches_per_hit_loop(self, hit_labels, threshold):
+        got = threshold_vote(hit_labels, threshold)
+        assert got.dtype == np.int64
+        assert got.tolist() == oracle_threshold_vote(hit_labels.tolist(), threshold,
+                                                     hit_labels.shape[1])
 
 
 class TestPersistence:
@@ -279,16 +299,16 @@ class TestPersistence:
     def test_round_trip_is_bit_exact(self, tmp_path_factory, docs, labels, query, k1, b,
                                      keywords):
         ids = [f"d{i}" for i in range(len(docs))]
-        index = Bm25Index(docs, ids, [LabelVector(bits=bits) for bits in labels[:len(docs)]],
-                          k1=k1, b=b, keywords=keywords)
+        index = Bm25Index(docs, ids, labels[:len(docs)], k1=k1, b=b, keywords=keywords)
         path = tmp_path_factory.mktemp("bm25") / "index.json"
         index.save(path)
         loaded = Bm25Index.load(path)
-        for name in ("_post_indptr", "_post_docs", "_post_counts", "_idf", "_norms"):
+        for name in ("_post_indptr", "_post_docs", "_post_counts", "_idf", "_norms", "labels"):
             assert same_bits(getattr(loaded, name), getattr(index, name)), name
         assert same_bits(loaded.score_all(query), index.score_all(query))
         assert loaded.vocab == index.vocab and loaded.doc_freq == index.doc_freq
-        assert (loaded.ids, loaded.labels) == (index.ids, index.labels)
+        assert loaded.ids == index.ids
+        assert index.labels.tolist() == [list(bits) for bits in labels[:len(docs)]]
         assert (loaded.k1, loaded.b, loaded.keywords, loaded.avg_len) \
             == (index.k1, index.b, index.keywords, index.avg_len)
 
@@ -303,10 +323,14 @@ class TestPersistence:
         ("terms", ["b", "a"], "sorted"),
         ("terms", ["a", "a"], "unique"),
         ("labels", [[0]], "2 ids but 1 label vectors"),
+        ("labels", [[0], [2]], "integers 0 or 1"),
+        ("labels", [[0], [-1]], "integers 0 or 1"),
+        ("labels", [[0], [0.5]], "integers 0 or 1"),
+        ("labels", [[False], [True]], "integers 0 or 1"),
+        ("labels", [0, 1], "integers 0 or 1"),
     ])
     def test_load_rejects_inconsistent_postings(self, tmp_path, field, value, message):
-        index = Bm25Index([["a", "b", "a"], ["a", "b"]], ["x", "y"],
-                          [LabelVector(bits=(0,))] * 2)
+        index = Bm25Index([["a", "b", "a"], ["a", "b"]], ["x", "y"], [(0,)] * 2)
         path = tmp_path / "index.json"
         index.save(path)
         payload = json.loads(path.read_text())
@@ -317,11 +341,11 @@ class TestPersistence:
 
 
 def oracle_retrieve(query, index, k):
-    """Every other document sorted by (-score, id), cut to k."""
+    """(id, score) of every other document sorted by (-score, id), cut to k."""
     scores = index.score_all(tokenize(query.source, index.keywords))
     ranked = sorted((i for i in range(index.N) if index.ids[i] != query.id),
                     key=lambda i: (-scores[i], index.ids[i]))
-    return [(index.ids[i], float(scores[i]), index.labels[i]) for i in ranked[:k]]
+    return [(index.ids[i], float(scores[i])) for i in ranked[:k]]
 
 
 class TestRetrieveProperties:
@@ -342,11 +366,12 @@ class TestRetrieveProperties:
         # repeated documents tie exactly, also at the k-th place
         docs = [doc for doc, n in zip(distinct, copies) for _ in range(n)]
         ids = ids[:len(docs)]
-        labels = [LabelVector(bits=(i % 2,)) for i in range(len(docs))]
+        labels = [(i % 2,) for i in range(len(docs))]
         index = Bm25Index(docs, ids, labels)
         # the query is one of the indexed documents, or a new id
         own %= len(docs) + 1
         contract = Contract(id=ids[own] if own < len(docs) else "query", source=" ".join(query))
         k = 1 + k % (len(docs) + 2)
-        got = [(h.contract_id, h.score, h.labels) for h in bm25_retrieve(contract, index, k)]
-        assert got == oracle_retrieve(contract, index, k)
+        rows, scores = bm25_retrieve(contract, index, k)
+        assert list(zip([index.ids[i] for i in rows], scores.tolist())) \
+            == oracle_retrieve(contract, index, k)

@@ -98,6 +98,11 @@ BAD_VALUES = [
     {"meta": {"hidden1": 0}},
     {"meta": {"hidden2": 0}},
     {"meta": {"threshold": 2.0}},
+    {"seed": -5},
+    {"bm25": {"vote_threshold": 0}},
+    {"bm25": {"vote_threshold": -3}},
+    {"external": {"timeout": 0}},
+    {"external": {"timeout": -1.5}},
 ]
 
 
@@ -350,16 +355,43 @@ class TestCliFlow:
         ("train-slora", {"slora": {"rank": 65}}),
         ("detect", {"detectors": [{"kind": "mock", "delay": "1"}]}),
         ("train-meta", {"detectors": [{"kind": "bm25"}, {"kind": "mock", "name": "bm25"}]}),
+        ("build-index", {"seed": -5}),
+        ("detect", {"bm25": {"vote_threshold": -3}}),
+        ("detect", {"external": {"timeout": 0}}),
+        # a list holds override flags, range-checked like the file's values
+        ("train-meta", ["--threshold", "1.5"]),
+        ("detect", ["--k", "0"]),
+        ("detect", ["--vote-threshold", "0"]),
+        ("train-slora", ["--epochs", "0"]),
+        ("train-slora", ["--alpha", "1.5"]),
+        ("build-index", ["--seed", "-5"]),
+        ("build-index", ["--b", "1.5"]),
     ])
     def test_bad_value_exits_2(self, mini_project, tmp_path, capsys, command, section):
         config = json.loads(Path(mini_project["config"]).read_text())
-        for name, block in section.items():
+        flags = section if isinstance(section, list) else []
+        for name, block in ({} if flags else section).items():
             config[name] = {**config.get(name, {}), **block} if isinstance(block, dict) else block
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
-        code = main([command, "--config", str(bad), "--out", str(tmp_path / "work")])
+        code = main([command, "--config", str(bad), "--out", str(tmp_path / "work"), *flags])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [0.7, "1", True, 2])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_bad_dataset_label_exits_3(self, tmp_path, capsys, label, split):
+        paths = write_corpus(tmp_path / "corpus", 10, 1)
+        records = [json.loads(line) for line in Path(paths[split]).read_text().splitlines()]
+        records[1]["labels"][0] = label
+        Path(paths[split]).write_text("".join(json.dumps(r) + "\n" for r in records))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"taxonomy": paths["taxonomy"],
+                                   "datasets": {"train": paths["train"], "test": paths["test"]}}))
+        # evaluate reads the test labels without ingesting the split
+        command = "evaluate" if split == "test" else "ingest"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "w")]) == EXIT_STAGE
+        assert f"record 1 ({records[1]['id']!r}): labels must be" in capsys.readouterr().err
 
     def test_missing_artifact_exits_3(self, mini_project, tmp_path, capsys):
         code = main(["detect", "--config", mini_project["config"],
@@ -434,29 +466,79 @@ class TestCliFlow:
             producer = "train-meta" if "detectors" in changes else "build-index"
             assert f"rerun '{producer}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["old format", "truncated"])
-    @pytest.mark.parametrize("artifact,producer", [("bm25_index", "build-index"),
-                                                   ("dense_store", "build-index"),
-                                                   ("meta_ckpt", "train-meta")])
+    @pytest.mark.parametrize("artifact,producer,damage", [
+        (artifact, producer, damage)
+        for artifact, producer in (("bm25_index", "build-index"), ("dense_store", "build-index"),
+                                   ("meta_ckpt", "train-meta"))
+        for damage in ("old format", "truncated")
+    ] + [
+        (artifact, "build-index", damage) for artifact in ("bm25_index", "dense_store")
+        for damage in ("label of 2", "one label row short")
+    ] + [("dense_store", "build-index", "metadata blob")],
+        ids=lambda value: value)
     def test_malformed_artifact_exits_3(self, trained, tmp_path, capsys, artifact, producer,
                                         damage):
         work = shutil.copytree(trained["work"], tmp_path / "work")
         path = work / pipeline.ARTIFACTS[artifact]
         if damage == "truncated":
             path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
-        elif artifact == "bm25_index":   # per-document token lists, as written before
+        elif artifact == "bm25_index" and damage == "old format":
+            # per-document token lists, as written before
             path.write_text(json.dumps({"k1": 1.5, "b": 0.9, "keywords": [], "docs": [
                 {"id": "c0", "labels": [0] * 5, "tokens": ["a"]}]}))
-        else:                            # without the key this format added
+        elif artifact == "bm25_index":
+            payload = json.loads(path.read_text())
+            if damage == "label of 2":
+                payload["labels"][-1][0] = 2
+            else:
+                payload["labels"].pop()
+            path.write_text(json.dumps(payload))
+        else:
             with np.load(path) as data:
-                kept = {k: data[k] for k in data.files
-                        if k not in ("segmentation", "detectors")}
-            assert len(kept) == len(data.files) - 1
+                kept = {k: data[k] for k in data.files}
+            if damage == "old format":   # without the key this format added
+                del kept["segmentation" if artifact == "dense_store" else "detectors"]
+            elif damage == "label of 2":
+                kept["labels"][-1, 0] = 2
+            elif damage == "one label row short":
+                kept["labels"] = kept["labels"][:-1]
+            else:   # the fragments' ids and labels in one JSON blob, as written before
+                meta = [{"parent_id": p, "frag_index": int(f), "labels": row}
+                        for p, f, row in zip(kept.pop("parent_ids").tolist(),
+                                             kept.pop("frag_index"),
+                                             kept.pop("labels").tolist())]
+                kept["metadata"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             np.savez(path, **kept)
         assert main(["detect", "--config", trained["config"], "--out", str(work)]) \
             == EXIT_STAGE
         err = capsys.readouterr().err
         assert f"cannot read {path}" in err and f"rerun '{producer}'" in err
+
+    @pytest.mark.parametrize("damage", ["not json", "no verified_labels", "ragged labels",
+                                        "short labels", "short probabilities"])
+    def test_malformed_results_exit_3(self, trained, tmp_path, capsys, damage):
+        work = shutil.copytree(trained["work"], tmp_path / "work")
+        assert main(["detect", "--config", trained["config"], "--out", str(work)]) == EXIT_OK
+        path = work / pipeline.ARTIFACTS["results"]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        if damage == "no verified_labels":
+            del records[0]["verified_labels"]
+        elif damage == "ragged labels":
+            records[0]["verified_labels"].pop()
+        elif damage == "short labels":
+            for rec in records:
+                rec["verified_labels"].pop()
+        elif damage == "short probabilities":
+            for rec in records:
+                rec["detectors"]["bm25"].pop()
+        lines = [json.dumps(rec) for rec in records] + (["{"] if damage == "not json" else [])
+        path.write_text("\n".join(lines) + "\n")
+        commands = ("evaluate", "report") if damage == "not json" else ("evaluate",)
+        for command in commands:
+            assert main([command, "--config", trained["config"], "--out", str(work)]) \
+                == EXIT_STAGE
+            err = capsys.readouterr().err
+            assert f"cannot read {path}" in err and "rerun 'detect'" in err
 
     def test_console_script_installed(self):
         # pytest's `pythonpath` setting reaches only this process, not the child

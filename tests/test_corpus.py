@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from vulnfuse.corpus import (
     Contract,
     Dataset,
-    LabelVector,
     check_disjoint,
     ingest,
     load_taxonomy,
     preprocess,
     read_ids,
+    read_labels,
     strip_comments,
 )
 from vulnfuse.errors import EmptyContract, ParseError, SchemaError
@@ -175,16 +175,6 @@ class TestReadIds:
             read_ids(data)
 
 
-class TestLabelVector:
-    def test_rejects_non_binary(self):
-        with pytest.raises(SchemaError):
-            LabelVector(bits=(0, 2, 1))
-
-    def test_names_roundtrip(self, taxonomy5):
-        vec = LabelVector(bits=(1, 0, 1, 0, 0))
-        assert vec.names(taxonomy5) == ("reentrancy", "unchecked-call")
-
-
 class TestIngest:
     def _write(self, tmp_path, records, taxonomy):
         data = tmp_path / "data.jsonl"
@@ -202,7 +192,7 @@ class TestIngest:
         ], taxonomy5)
         ds = ingest(data, load_taxonomy(tax))
         assert len(ds) == 2
-        assert ds.contracts[0].labels.bits == (1, 0, 1, 0, 0)
+        assert ds.contracts[0].labels == (1, 0, 1, 0, 0)
 
     def test_label_length_mismatch(self, tmp_path, taxonomy5):
         data, tax = self._write(tmp_path, [
@@ -210,6 +200,35 @@ class TestIngest:
         ], taxonomy5)
         with pytest.raises(SchemaError):
             ingest(data, load_taxonomy(tax))
+
+    @pytest.mark.parametrize("labels", [
+        [0, 2, 1, 0, 0],
+        [-1, 0, 0, 0, 0],
+        [0.7, 1, 0, 0, 0],   # int() would truncate these two to 0 and 1
+        [1.9, 0, 0, 0, 0],
+        [1.0, 0, 0, 0, 0],
+        ["1", 0, 0, 0, 0],
+        [True, False, False, False, False],
+        [[1], 0, 0, 0, 0],
+        "abcde",             # as long as the taxonomy
+        {"a": 1, "b": 0, "c": 0, "d": 0, "e": 0},
+        1,
+    ])
+    @pytest.mark.parametrize("read", [ingest, read_labels])
+    def test_labels_must_be_integers_0_or_1(self, tmp_path, taxonomy5, labels, read):
+        data, _ = self._write(tmp_path, [
+            {"id": "a", "source": "x;", "labels": [0, 0, 0, 0, 1]},
+            {"id": "b", "source": "y;", "labels": labels},
+        ], taxonomy5)
+        with pytest.raises(SchemaError, match=r"record 1 \('b'\): labels must be"):
+            read(data, taxonomy5)
+
+    def test_read_labels_by_id(self, tmp_path, taxonomy5):
+        data, _ = self._write(tmp_path, [
+            {"id": "a", "source": "// only a comment", "labels": [0, 1, 0, 0, 1]},
+            {"id": "b", "source": "y;"},
+        ], taxonomy5)
+        assert read_labels(data, taxonomy5) == {"a": (0, 1, 0, 0, 1), "b": None}
 
     def test_malformed_record_reports_index(self, tmp_path, taxonomy5):
         data = tmp_path / "data.jsonl"
@@ -250,7 +269,7 @@ class TestIngest:
             for c in ds:
                 record = {"id": c.id, "source": c.source}
                 if c.labels is not None:
-                    record["labels"] = list(c.labels.bits)
+                    record["labels"] = list(c.labels)
                 fh.write(json.dumps(record) + "\n")
         again = ingest(out, taxonomy5)
         assert again == ds

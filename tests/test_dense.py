@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vulnfuse.corpus import Contract, Dataset, LabelVector, signed_buckets
+from vulnfuse.corpus import Contract, Dataset, signed_buckets
 from vulnfuse.dense import (
     HashingEmbedder,
     SegmentationParams,
@@ -25,6 +25,8 @@ from vulnfuse.errors import (
 )
 
 from conftest import make_dataset
+from test_bm25 import HIT_LABELS, oracle_threshold_vote
+from test_kernels import same_bits
 
 
 def text_of_length(n, seed=0):
@@ -176,14 +178,21 @@ class TestStore:
         assert len(store) == 3
 
     def test_metadata_aligned(self, taxonomy5):
-        store = build_store(store_dataset(taxonomy5))
-        assert len(store.metadata) == store.vectors.shape[0]
+        ds = store_dataset(taxonomy5)
+        store = build_store(ds)
+        assert len(store.parent_ids) == len(store.frag_index) == len(store.labels) \
+            == store.vectors.shape[0]
+        # 3 fragments of each 3,000-byte contract, each row carrying its contract's labels
+        assert store.parent_ids == [c.id for c in ds for _ in range(3)]
+        assert store.frag_index.tolist() == [0, 1, 2] * len(ds)
+        assert same_bits(store.labels, np.repeat(np.array([c.labels for c in ds]), 3, axis=0))
 
     def test_rebuild_identical(self, taxonomy5):
         ds = store_dataset(taxonomy5)
         a, b = build_store(ds), build_store(ds)
         assert np.array_equal(a.vectors, b.vectors)
-        assert a.metadata == b.metadata
+        assert a.parent_ids == b.parent_ids
+        assert same_bits(a.frag_index, b.frag_index) and same_bits(a.labels, b.labels)
 
     def test_unit_vectors(self, taxonomy5):
         store = build_store(store_dataset(taxonomy5))
@@ -201,9 +210,30 @@ class TestStore:
         store.save(path)
         loaded = VectorStore.load(path)
         assert np.array_equal(loaded.vectors, store.vectors)
-        assert loaded.metadata == store.metadata
+        assert loaded.parent_ids == store.parent_ids
+        assert same_bits(loaded.frag_index, store.frag_index)
+        assert same_bits(loaded.labels, store.labels)
         assert loaded.dim == store.dim
         assert loaded.segmentation == store.segmentation == (1500, 300, 100)
+
+    @pytest.mark.parametrize("field,damage,message", [
+        ("vectors", lambda a: a[:-1], "vectors but"),
+        ("parent_ids", lambda a: a[:-1], "vectors but"),
+        ("frag_index", lambda a: a[:-1], "vectors but"),
+        ("labels", lambda a: a[:-1], "ids but"),
+        ("labels", lambda a: np.where(a == 1, 2, a), "integers 0 or 1"),
+        ("labels", lambda a: a.astype(bool), "integers 0 or 1"),
+        ("labels", lambda a: a.astype(np.float64), "integers 0 or 1"),
+        ("labels", lambda a: a[:, 0], "integers 0 or 1"),
+    ])
+    def test_load_rejects_inconsistent_rows(self, tmp_path, taxonomy5, field, damage, message):
+        path = tmp_path / "store.npz"
+        build_store(store_dataset(taxonomy5)).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        np.savez(path, **{**arrays, field: damage(arrays[field])})
+        with pytest.raises(ValueError, match=message):
+            VectorStore.load(path)
 
     def test_pairwise_cosine_bounded(self, taxonomy5):
         store = build_store(store_dataset(taxonomy5, n_contracts=6))
@@ -216,15 +246,15 @@ class TestRetrieve:
     def test_hit_count_chi_times_fragments(self, taxonomy5):
         store = build_store(store_dataset(taxonomy5, n_contracts=6))
         query = Contract(id="query", source=text_of_length(3000, seed=999))
-        hits = dense_retrieve(query, store)  # 3 fragments x chi=5
-        assert len(hits) == 15
+        rows, scores = dense_retrieve(query, store)  # 3 fragments x chi=5
+        assert len(rows) == len(scores) == 15
 
     def test_self_exclusion(self, taxonomy5):
         ds = store_dataset(taxonomy5, n_contracts=4)
         store = build_store(ds)
         for contract in ds:
-            hits = dense_retrieve(contract, store)
-            assert all(h.contract_id != contract.id for h in hits)
+            rows, _ = dense_retrieve(contract, store)
+            assert all(store.parent_ids[i] != contract.id for i in rows)
 
     def test_fewer_available_than_chi(self, taxonomy5):
         ds = make_dataset([
@@ -232,8 +262,8 @@ class TestRetrieve:
         ], taxonomy5)
         store = build_store(ds)
         query = Contract(id="query", source=text_of_length(3000, seed=42))
-        hits = dense_retrieve(query, store)
-        assert len(hits) == 3  # 1 per query fragment
+        rows, _ = dense_retrieve(query, store)
+        assert rows.tolist() == [0, 0, 0]  # 1 per query fragment
 
     def test_no_fragments(self, taxonomy5):
         store = build_store(store_dataset(taxonomy5))
@@ -246,7 +276,7 @@ class TestRetrieve:
         params = SegmentationParams()
         embedder = HashingEmbedder(store.dim)
         query = Contract(id="query", source=text_of_length(2000, seed=77))
-        hits = dense_retrieve(query, store, params, embedder)
+        rows, _ = dense_retrieve(query, store, params, embedder)
         frags = segment(query.source, params)
         offset = 0
         for frag in frags:
@@ -255,26 +285,26 @@ class TestRetrieve:
                 range(len(store)),
                 key=lambda i: (
                     -float(np.dot(store.vectors[i], q)),
-                    store.metadata[i].parent_id,
-                    store.metadata[i].frag_index,
+                    store.parent_ids[i],
+                    store.frag_index[i],
                 ),
             )
-            want = [store.metadata[i].parent_id for i in ranked[:params.chi]]
-            got = [h.contract_id for h in hits[offset:offset + params.chi]]
+            want = [store.parent_ids[i] for i in ranked[:params.chi]]
+            got = [store.parent_ids[i] for i in rows[offset:offset + params.chi]]
             assert got == want
             offset += params.chi
 
 
 def oracle_dense_retrieve(query, store, params, embedder):
-    """Per query fragment, every foreign row sorted by (-score, parent, fragment)."""
+    """(id, score) per query fragment of every foreign row sorted by (-score, parent,
+    fragment)."""
     hits = []
+    ids, frag_index = store.parent_ids, store.frag_index.tolist()
     for frag in segment(query.source, params):
         scores = store.vectors @ embedder.embed(frag.text)
-        meta = store.metadata
-        ranked = sorted((i for i, m in enumerate(meta) if m.parent_id != query.id),
-                        key=lambda i: (-scores[i], meta[i].parent_id, meta[i].frag_index))
-        hits += [(meta[i].parent_id, float(scores[i]), meta[i].labels)
-                 for i in ranked[:params.chi]]
+        ranked = sorted((i for i in range(len(store)) if ids[i] != query.id),
+                        key=lambda i: (-scores[i], ids[i], frag_index[i]))
+        hits += [(ids[i], float(scores[i])) for i in ranked[:params.chi]]
     return hits
 
 
@@ -303,7 +333,7 @@ class TestRetrieveProperties:
         # one source under several ids gives rows that tie exactly, also at chi
         contracts = tuple(
             Contract(id=ids[j], source=SOURCE_POOL[pick],
-                     labels=LabelVector(bits=tuple(int(b == j % 3) for b in range(3))))
+                     labels=tuple(int(b == j % 3) for b in range(3)))
             for j, pick in enumerate(picks))
         params = SegmentationParams(window=120, overlap=30, min_len=40, chi=chi)
         store = build_store(Dataset(contracts, ("a", "b", "c")), params)
@@ -311,9 +341,9 @@ class TestRetrieveProperties:
         own %= len(picks) + 1
         query = Contract(id=ids[own] if own < len(picks) else "query",
                          source=SOURCE_POOL[query_pick])
-        got = [(h.contract_id, h.score, h.labels)
-               for h in dense_retrieve(query, store, params, embedder)]
-        assert got == oracle_dense_retrieve(query, store, params, embedder)
+        rows, scores = dense_retrieve(query, store, params, embedder)
+        assert list(zip([store.parent_ids[i] for i in rows], scores.tolist())) \
+            == oracle_dense_retrieve(query, store, params, embedder)
 
 
 class TestThresholdAndVote:
@@ -322,32 +352,33 @@ class TestThresholdAndVote:
         assert dynamic_threshold(n) == expected
 
     def _hits(self, label_sets):
-        return [
-            type("Hit", (), {"labels": LabelVector(bits=tuple(bits)),
-                             "contract_id": str(i), "score": 0.5})()
-            for i, bits in enumerate(label_sets)
-        ]
+        return np.array(label_sets, dtype=np.int64)
 
     def test_vote_meets_threshold(self):
         hits = self._hits([[1, 0]] * 4 + [[0, 0]] * 6)  # tau* = 4.0
-        assert dense_vote(hits).bits == (1, 0)
+        assert dense_vote(hits).tolist() == [1, 0]
 
     def test_vote_below_threshold(self):
         hits = self._hits([[1, 0]] * 3 + [[0, 0]] * 7)
-        assert dense_vote(hits).bits == (0, 0)
+        assert dense_vote(hits).tolist() == [0, 0]
 
     def test_vote_empty(self):
-        assert dense_vote([], num_labels=4).bits == (0, 0, 0, 0)
+        assert dense_vote(np.zeros((0, 4), dtype=np.int64)).tolist() == [0, 0, 0, 0]
 
     def test_single_hit_passes_floor(self):
-        assert dense_vote(self._hits([[0, 1]])).bits == (0, 1)
+        assert dense_vote(self._hits([[0, 1]])).tolist() == [0, 1]
 
     def test_order_invariant(self):
         label_sets = [[1, 0], [1, 1], [0, 1], [1, 0], [0, 0], [1, 1], [0, 1], [1, 0]]
         hits = self._hits(label_sets)
-        baseline = dense_vote(hits).bits
-        rng = random.Random(4)
+        baseline = dense_vote(hits).tolist()
+        rng = np.random.default_rng(4)
         for _ in range(5):
-            shuffled = hits[:]
-            rng.shuffle(shuffled)
-            assert dense_vote(shuffled).bits == baseline
+            assert dense_vote(rng.permutation(hits)).tolist() == baseline
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(hit_labels=HIT_LABELS)
+    def test_matches_per_hit_loop(self, hit_labels):
+        threshold = max(0.4 * len(hit_labels), 1.0)
+        assert dense_vote(hit_labels).tolist() == oracle_threshold_vote(
+            hit_labels.tolist(), threshold, hit_labels.shape[1])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vulnfuse.bm25 import DEFAULT_KEYWORDS, Bm25Index, tokenize
-from vulnfuse.corpus import LabelVector, signed_buckets, word_tokens
+from vulnfuse.corpus import signed_buckets, word_tokens
 from vulnfuse.dense import HashingEmbedder
 from vulnfuse.slora import HashedFeatureExtractor, sparse_forward, sparsify
 
@@ -147,7 +147,7 @@ class TestKernelEquivalence:
         b=st.floats(0.0, 1.0),
     )
     def test_bm25_paths_agree(self, docs, query, k1, b):
-        labels = [LabelVector(bits=(0,))] * len(docs)
+        labels = [(0,)] * len(docs)
         index = Bm25Index(docs, [f"d{i}" for i in range(len(docs))], labels, k1=k1, b=b)
         assert index.score_all(query).tolist() == per_term_oracle(query, docs, k1, b)
 
@@ -228,7 +228,7 @@ class TestRewrittenLoops:
     @given(docs=st.lists(st.lists(st.sampled_from(VOCAB), max_size=15),
                          min_size=1, max_size=12).filter(any))
     def test_postings_match_per_term_lists(self, docs):
-        labels = [LabelVector(bits=(0,))] * len(docs)
+        labels = [(0,)] * len(docs)
         index = Bm25Index(docs, [f"d{i}" for i in range(len(docs))], labels)
         vocab, post_docs, counts, indptr = oracle_postings(docs)
         assert index.vocab == vocab

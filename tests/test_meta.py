@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnfuse import meta
-from vulnfuse.corpus import Contract, LabelVector
+from vulnfuse.corpus import Contract
 from vulnfuse.detectors import Detections, MockDetector, batch_detect
 from vulnfuse.errors import (
     AllDetectorsFailed,
@@ -425,7 +425,7 @@ class TestRowsAndPersistence:
             [[1, 0, 0, 0, 0], None],
             [[0, 1, 0, 0, 0], [0, 1, 0, 0, 0]],
         ]
-        truths = [LabelVector(bits=(1, 0, 0, 0, 0)), LabelVector(bits=(0, 1, 0, 0, 0))]
+        truths = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
         rows, targets = rows_from_results(record(per_contract, 5), truths)
         assert rows.shape == (10, 2)
         assert targets.tolist() == [1, 0, 0, 0, 0, 0, 1, 0, 0, 0]
@@ -439,7 +439,7 @@ class TestRowsAndPersistence:
         detectors = [MockDetector([0.7] * length, name="a"), MockDetector([0.1] * 5, name="b")]
         with pytest.raises(ShapeError, match="detector 'a'"):
             rows_from_results(batch_detect(detectors, [Contract(id="c", source="x;")], 5),
-                              [LabelVector(bits=(1, 0, 0, 0, 0))])
+                              [(1, 0, 0, 0, 0)])
 
     def test_save_load_roundtrip(self, tmp_path):
         learner = init_meta(psi=3, seed=12)

@@ -1,12 +1,43 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vulnfuse.corpus import LabelVector
 from vulnfuse.errors import ShapeError
 from vulnfuse.metrics import EvalSummary, MetricSet, compute_metrics
 
 
 def vecs(rows):
-    return [LabelVector(bits=tuple(r)) for r in rows]
+    return np.array(rows, dtype=np.int64)
+
+
+def oracle_metrics(predictions, truths):
+    """The per-cell counting loop that compute_metrics replaced, kept as a reference."""
+    tp = fp = fn = 0
+    exact = 0
+    for pred, truth in zip(predictions, truths):
+        if tuple(pred) == tuple(truth):
+            exact += 1
+        for p, t in zip(pred, truth):
+            if p and t:
+                tp += 1
+            elif p and not t:
+                fp += 1
+            elif t and not p:
+                fn += 1
+    n = len(predictions)
+    accuracy = exact / n if n else 0.0
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return MetricSet(accuracy=accuracy, precision=precision, recall=recall, f1=f1)
+
+
+# two (n, L) 0/1 arrays of one shape, n = 0 included
+PAIRS = st.tuples(st.integers(0, 12), st.integers(1, 6)).flatmap(lambda shape: st.tuples(
+    *[st.lists(st.integers(0, 1), min_size=shape[0] * shape[1],
+               max_size=shape[0] * shape[1]).map(
+        lambda cells: np.array(cells, dtype=np.int64).reshape(shape))] * 2))
 
 
 class TestComputeMetrics:
@@ -51,6 +82,15 @@ class TestComputeMetrics:
     def test_vector_length_mismatch(self):
         with pytest.raises(ShapeError):
             compute_metrics(vecs([[1, 0]]), vecs([[1]]))
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(pair=PAIRS)
+    def test_matches_per_cell_loop(self, pair):
+        pred, truth = pair
+        got, want = compute_metrics(pred, truth), oracle_metrics(pred.tolist(), truth.tolist())
+        for name in ("accuracy", "precision", "recall", "f1"):
+            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+            assert type(getattr(got, name)) is float
 
     def test_rates_bounded(self):
         import random
