@@ -11,6 +11,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Sequence
@@ -97,6 +98,21 @@ def check_params(k1: float, b: float, top_k: int = DEFAULT_TOP_K) -> None:
         raise InvalidParameter(f"b must be in [0, 1], got {b}")
     if top_k <= 0:
         raise InvalidParameter(f"top-k must be positive, got {top_k}")
+
+
+@dataclass(frozen=True)
+class Bm25Params:
+    """The `bm25` config section: build-time k1, b and keywords; query-time top-K and vote."""
+    k1: float = DEFAULT_K1
+    b: float = DEFAULT_B
+    top_k: int = DEFAULT_TOP_K
+    vote_threshold: int = DEFAULT_VOTE_THRESHOLD
+    keywords: tuple[str, ...] = DEFAULT_KEYWORDS
+
+    def __post_init__(self):
+        check_params(self.k1, self.b, self.top_k)
+        if self.vote_threshold < 1:
+            raise InvalidParameter(f"vote threshold must be at least 1, got {self.vote_threshold}")
 
 
 class Bm25Index:

@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import pipeline, synth
-from .config import _check_ranges, load_config
-from .errors import AllDetectorsFailed, ConfigError, StageError, VulnfuseError
+from .config import PipelineConfig, load_config
+from .errors import AllDetectorsFailed, ConfigError, InvalidParameter, StageError, VulnfuseError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -20,27 +21,38 @@ EXIT_STAGE = 3
 EXIT_ALL_FAILED = 4
 
 
-_OVERRIDE_FLAGS = {
-    "k": (["--k"], {"type": int, "help": "BM25 top-K override"}),
-    "k1": (["--k1"], {"type": float, "help": "BM25 k1 override"}),
-    "b": (["--b"], {"type": float, "help": "BM25 length-normalization b override"}),
-    "vote_threshold": (["--vote-threshold"],
-                       {"type": int, "help": "BM25 vote threshold override"}),
-    "alpha": (["--alpha"], {"type": float, "help": "adapter sparsity level override"}),
-    "rank": (["--rank"], {"type": int, "help": "adapter rank override"}),
-    "epochs": (["--epochs"], {"type": int, "help": "training epoch override"}),
-    "threshold": (["--threshold"], {"type": float, "help": "decision threshold override"}),
-    "endpoint": (["--endpoint"], {"help": "remote endpoint override"}),
+# each stage command's override flags: flag -> (config field it sets, type, help)
+_OVERRIDES = {
+    "ingest": {},
+    "build-index": {
+        "--k1": ("bm25.k1", float, "BM25 k1 override"),
+        "--b": ("bm25.b", float, "BM25 length-normalization b override"),
+    },
+    "train-slora": {
+        "--alpha": ("slora.alpha", float, "adapter sparsity level override"),
+        "--rank": ("slora.rank", int, "adapter rank override"),
+        "--epochs": ("slora.epochs", int, "training epoch override"),
+    },
+    "train-meta": {
+        "--epochs": ("meta.epochs", int, "training epoch override"),
+        "--threshold": ("meta.threshold", float, "decision threshold override"),
+    },
+    "detect": {
+        "--k": ("bm25.top_k", int, "BM25 top-K override"),
+        "--vote-threshold": ("bm25.vote_threshold", int, "BM25 vote threshold override"),
+        "--endpoint": ("external.endpoint", str, "remote endpoint override"),
+    },
+    "evaluate": {},
+    "report": {"--endpoint": ("external.report_endpoint", str, "remote endpoint override")},
 }
 
 
-def _add_stage_args(parser, overrides=()):
+def _add_stage_args(parser, command):
     parser.add_argument("--config", required=True, help="pipeline config JSON")
     parser.add_argument("--out", default="work", help="artifact directory")
     parser.add_argument("--seed", type=int, help="override config seed")
-    for name in overrides:
-        flags, kwargs = _OVERRIDE_FLAGS[name]
-        parser.add_argument(*flags, **kwargs)
+    for flag, (_, kind, text) in _OVERRIDES[command].items():
+        parser.add_argument(flag, type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,52 +68,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="corpus", help="output directory")
     p.add_argument("--test-fraction", type=float, default=0.3)
 
-    _add_stage_args(sub.add_parser("ingest", help="validate the configured dataset files"))
-    _add_stage_args(sub.add_parser("build-index",
-                                   help="build and persist the BM25 index and vector store"),
-                    overrides=("k1", "b"))
-    _add_stage_args(sub.add_parser("train-slora", help="train the adapter classifier"),
-                    overrides=("alpha", "rank", "epochs"))
-    _add_stage_args(sub.add_parser("train-meta", help="train the verification meta-learner"),
-                    overrides=("epochs", "threshold"))
-    _add_stage_args(sub.add_parser("detect",
-                                   help="run all detectors plus verification on the test set"),
-                    overrides=("k", "vote_threshold", "endpoint"))
-    _add_stage_args(sub.add_parser("evaluate", help="score detections against ground truth"))
-    report_parser = sub.add_parser("report", help="render Markdown vulnerability reports")
-    _add_stage_args(report_parser, overrides=("endpoint",))
-    report_parser.add_argument("--contract", help="restrict to one contract id")
+    for command, text in (
+            ("ingest", "validate the configured dataset files"),
+            ("build-index", "build and persist the BM25 index and vector store"),
+            ("train-slora", "train the adapter classifier"),
+            ("train-meta", "train the verification meta-learner"),
+            ("detect", "run all detectors plus verification on the test set"),
+            ("evaluate", "score detections against ground truth"),
+            ("report", "render Markdown vulnerability reports")):
+        _add_stage_args(sub.add_parser(command, help=text), command)
+    sub.choices["report"].add_argument("--contract", help="restrict to one contract id")
     return parser
 
 
-# config field each override sets; a dict picks the field by command, None
-# standing for every other command
-_OVERRIDE_FIELDS = {
-    "seed": "seed",
-    "k": "bm25.top_k",
-    "k1": "bm25.k1",
-    "b": "bm25.b",
-    "vote_threshold": "bm25.vote_threshold",
-    "alpha": "slora.alpha",
-    "rank": "slora.rank",
-    "epochs": {"train-meta": "meta.epochs", None: "slora.epochs"},
-    "threshold": "meta.threshold",
-    "endpoint": {"report": "external.report_endpoint", None: "external.endpoint"},
-}
-
-
-def _config_with_overrides(args) -> "pipeline.PipelineConfig":
+def _config_with_overrides(args) -> PipelineConfig:
+    """The config file with the command's flags applied; each changed section is
+    rebuilt, so a flag's value is range-checked like the file's."""
     config = load_config(args.config)
-    for name, target in _OVERRIDE_FIELDS.items():
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if isinstance(target, dict):
-            target = target.get(args.command, target[None])
-        section, _, attr = target.rpartition(".")
-        setattr(getattr(config, section) if section else config, attr, value)
-    _check_ranges(config)
-    return config
+    changes, sections = {}, {}
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    for flag, (target, _, _) in _OVERRIDES[args.command].items():
+        value = getattr(args, flag[2:].replace("-", "_"))   # argparse's dest for the flag
+        if value is not None:
+            section, _, name = target.partition(".")
+            sections.setdefault(section, {})[name] = value
+    try:
+        changes.update((name, replace(getattr(config, name), **values))
+                       for name, values in sections.items())
+        return replace(config, **changes)
+    except InvalidParameter as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
 
 
 def _print_summary(summary) -> None:

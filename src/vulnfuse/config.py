@@ -1,4 +1,9 @@
-"""Pipeline configuration: JSON schema, defaults, and validation."""
+"""Pipeline configuration: the JSON file's parsing and type checks.
+
+Each stage section is the parameter object of the module that reads it
+(`bm25.Bm25Params`, `dense.SegmentationParams`, `slora.SloraParams`,
+`meta.MetaParams`), which holds the section's defaults and checks its ranges.
+"""
 
 from __future__ import annotations
 
@@ -8,63 +13,25 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from . import bm25 as bm25_mod
-from . import meta as meta_mod
-from . import slora as slora_mod
-from .bm25 import DEFAULT_B, DEFAULT_K1, DEFAULT_KEYWORDS, DEFAULT_TOP_K, DEFAULT_VOTE_THRESHOLD
-from .dense import (DEFAULT_CHI, DEFAULT_EMBED_DIM, DEFAULT_MIN_LEN, DEFAULT_OVERLAP,
-                    DEFAULT_WINDOW, HashingEmbedder, SegmentationParams)
+from .bm25 import Bm25Params
+from .dense import SegmentationParams
 from .errors import ConfigError, InvalidParameter
-from .meta import DEFAULT_HIDDEN1, DEFAULT_HIDDEN2, DEFAULT_THRESHOLD
+from .meta import MetaParams
+from .slora import SloraParams
 
 DEFAULT_DETECTORS = ({"kind": "dense"}, {"kind": "bm25"}, {"kind": "slora"})
 
 
-@dataclass
-class Bm25Config:
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-    top_k: int = DEFAULT_TOP_K
-    vote_threshold: int = DEFAULT_VOTE_THRESHOLD
-    keywords: tuple = DEFAULT_KEYWORDS
-
-
-@dataclass
-class DenseConfig:
-    window: int = DEFAULT_WINDOW
-    overlap: int = DEFAULT_OVERLAP
-    min_len: int = DEFAULT_MIN_LEN
-    chi: int = DEFAULT_CHI
-    embed_dim: int = DEFAULT_EMBED_DIM
-
-
-@dataclass
-class SloraConfig:
-    feature_dim: int = 64
-    rank: int = 8
-    alpha: float = 0.9
-    learning_rate: float = 5e-5
-    batch_size: int = 8
-    epochs: int = 5
-    patience: Optional[int] = None
-
-
-@dataclass
-class MetaConfig:
-    hidden1: int = DEFAULT_HIDDEN1
-    hidden2: int = DEFAULT_HIDDEN2
-    threshold: float = DEFAULT_THRESHOLD
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    epochs: int = 300
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExternalConfig:
     endpoint: Optional[str] = None
     timeout: float = 30.0
     auth_header: Optional[str] = None
     report_endpoint: Optional[str] = None
+
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise InvalidParameter(f"timeout must be positive, got {self.timeout}")
 
 
 @dataclass
@@ -75,21 +42,39 @@ class PipelineConfig:
     knowledge_path: Optional[str] = None
     prompt_template_path: Optional[str] = None
     seed: int = 0
-    bm25: Bm25Config = field(default_factory=Bm25Config)
-    dense: DenseConfig = field(default_factory=DenseConfig)
-    slora: SloraConfig = field(default_factory=SloraConfig)
-    meta: MetaConfig = field(default_factory=MetaConfig)
+    bm25: Bm25Params = field(default_factory=Bm25Params)
+    dense: SegmentationParams = field(default_factory=SegmentationParams)
+    slora: SloraParams = field(default_factory=SloraParams)
+    meta: MetaParams = field(default_factory=MetaParams)
     external: ExternalConfig = field(default_factory=ExternalConfig)
     detectors: tuple = DEFAULT_DETECTORS
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be non-negative, got {self.seed}")
 
-_SECTIONS = ("bm25", "dense", "slora", "meta", "external")
+
+_SECTIONS = {"bm25": Bm25Params, "dense": SegmentationParams, "slora": SloraParams,
+             "meta": MetaParams, "external": ExternalConfig}
+
+# the file's path settings: the config field each sets, by key ("datasets.<split>"
+# inside the datasets object)
+_PATHS = {"taxonomy": "taxonomy_path", "knowledge": "knowledge_path",
+          "prompt_template": "prompt_template_path", "datasets.train": "train_path",
+          "datasets.test": "test_path"}
 
 _TOP_KEYS = {"taxonomy", "datasets", "knowledge", "prompt_template", "seed",
              "detectors"} | set(_SECTIONS)
 
-# JSON value types accepted for the numeric fields, by field annotation
-_NUMERIC_TYPES = {"int": int, "float": (int, float), "Optional[int]": (int, type(None))}
+# the JSON values a section field accepts, by its annotation
+_VALUE_CHECKS = {
+    "int": lambda v: _is_type(v, int),
+    "float": lambda v: _is_type(v, (int, float)),
+    "Optional[int]": lambda v: v is None or _is_type(v, int),
+    "Optional[str]": lambda v: v is None or isinstance(v, str),
+    "tuple[str, ...]": lambda v: (isinstance(v, list)
+                                  and all(isinstance(k, str) and k for k in v)),
+}
 
 # the keys a detector spec of each kind may set
 _DETECTOR_KEYS = {
@@ -115,7 +100,7 @@ _DETECTOR_VALUES = {
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse and validate a JSON config; unknown or ill-typed keys are fatal."""
+    """Parse and validate a JSON config; unknown, ill-typed or out-of-range keys are fatal."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -126,41 +111,38 @@ def load_config(path) -> PipelineConfig:
     bad = sorted(set(raw) - _TOP_KEYS)
     if bad:
         raise ConfigError(f"unknown config keys: {bad}", keys=bad)
-
-    config = PipelineConfig()
-    config.taxonomy_path = raw.get("taxonomy")
     datasets = raw.get("datasets", {})
     if not isinstance(datasets, dict):
         raise ConfigError("'datasets' must be an object", keys=["datasets"])
-    config.train_path = datasets.get("train")
-    config.test_path = datasets.get("test")
-    config.knowledge_path = raw.get("knowledge")
-    config.prompt_template_path = raw.get("prompt_template")
-    config.seed = raw.get("seed", 0)
-    if not _is_type(config.seed, int):
-        raise ConfigError("'seed' must be an integer", keys=["seed"])
+    values = {"datasets." + key: value for key, value in datasets.items()}
+    values.update((key, raw[key]) for key in ("taxonomy", "knowledge", "prompt_template")
+                  if key in raw)
+    offending = [key for key, value in values.items()
+                 if key not in _PATHS or not _VALUE_CHECKS["Optional[str]"](value)]
+    if "seed" in raw and not _is_type(raw["seed"], int):
+        offending.append("seed")
 
-    offending = []
-    for section in _SECTIONS:
+    sections = {}
+    for section, params in _SECTIONS.items():
         block = raw.get(section, {})
         if not isinstance(block, dict):
             offending.append(section)
             continue
-        target = getattr(config, section)
-        annotations = {f.name: f.type for f in fields(target)}
-        for key, value in block.items():
-            numeric = _NUMERIC_TYPES.get(annotations.get(key))
-            if (key not in annotations or (numeric and not _is_type(value, numeric))
-                    or (key == "keywords" and not _is_keyword_list(value))):
-                offending.append(f"{section}.{key}")
-                continue
-            if key == "keywords":
-                value = tuple(value)
-            setattr(target, key, value)
+        checks = {f.name: _VALUE_CHECKS[f.type] for f in fields(params)}
+        offending += [f"{section}.{key}" for key, value in block.items()
+                      if key not in checks or not checks[key](value)]
+        # a list value is bm25.keywords, held as a tuple
+        sections[section] = {key: tuple(value) if isinstance(value, list) else value
+                             for key, value in block.items()}
     if offending:
         raise ConfigError(f"invalid config keys or values: {sorted(offending)}",
                           keys=offending)
-    _check_ranges(config)
+    try:
+        config = PipelineConfig(
+            seed=raw.get("seed", 0), **{_PATHS[key]: value for key, value in values.items()},
+            **{section: _SECTIONS[section](**block) for section, block in sections.items()})
+    except InvalidParameter as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
 
     if "detectors" in raw:
         detectors = raw["detectors"]
@@ -192,27 +174,3 @@ def _is_type(value, types) -> bool:
     # JSON true/false load as bool, which Python counts as int
     return isinstance(value, types) and not isinstance(value, bool)
 
-
-def _is_keyword_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(k, str) and k for k in value)
-
-
-def _check_ranges(config: PipelineConfig) -> None:
-    """Run the stage parameter validators at load, and in the CLI after its override flags."""
-    bm25, dense, slora, meta = config.bm25, config.dense, config.slora, config.meta
-    bad = [key for key, ok in (("seed", config.seed >= 0),
-                               ("bm25.vote_threshold", bm25.vote_threshold >= 1),
-                               ("external.timeout", config.external.timeout > 0)) if not ok]
-    if bad:
-        raise ConfigError(f"config values out of range: {bad}", keys=bad)
-    try:
-        bm25_mod.check_params(bm25.k1, bm25.b, bm25.top_k)
-        SegmentationParams(dense.window, dense.overlap, dense.min_len, dense.chi)
-        HashingEmbedder(dense.embed_dim)
-        slora_mod.HashedFeatureExtractor(slora.feature_dim)
-        slora_mod.check_adapter_params(slora.feature_dim, slora.rank, slora.alpha)
-        meta_mod.check_params(meta.hidden1, meta.hidden2, meta.threshold)
-        for section in (slora, meta):
-            slora_mod.TrainConfig(section.learning_rate, section.batch_size, section.epochs)
-    except InvalidParameter as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc

@@ -84,6 +84,24 @@ def signed_buckets(texts: Iterable[str], dim: int,
     return (h % np.uint64(dim)).astype(np.int64), np.where(h >> np.uint64(63), -1.0, 1.0)
 
 
+def encode_strings(strings: Iterable[str]) -> np.ndarray:
+    """`strings` as a uint8 array of UTF-8 JSON, for an npz file.
+
+    A NumPy string array would drop each string's trailing NUL characters.
+    """
+    return np.frombuffer(json.dumps(list(strings)).encode("utf-8"), dtype=np.uint8)
+
+
+def decode_strings(data: np.ndarray) -> tuple[str, ...]:
+    """The strings `encode_strings` stored; ValueError if `data` does not hold them."""
+    if data.dtype != np.uint8:
+        raise ValueError(f"strings must be stored as UTF-8 JSON bytes, got {data.dtype}")
+    strings = json.loads(data.tobytes().decode("utf-8"))
+    if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+        raise ValueError("stored strings must be a JSON array of strings")
+    return tuple(strings)
+
+
 # ---------------------------------------------------------------------------
 # preprocessing
 # ---------------------------------------------------------------------------
@@ -146,12 +164,13 @@ def load_taxonomy(path) -> tuple[str, ...]:
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
         raise SchemaError(f"taxonomy file {path} must be a JSON array of strings")
     if len(set(data)) != len(data):
-        raise SchemaError("taxonomy contains duplicate label names")
+        raise SchemaError(f"taxonomy file {path} contains duplicate label names")
     return tuple(data)
 
 
 def _records(path):
-    """(index, record) for each non-blank line; checks JSON, id/source and unique ids."""
+    """(index, record) for each non-blank line; checks JSON, id/source and unique ids.
+    Each error names the file and the record."""
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for index, line in enumerate(fh):
@@ -161,24 +180,25 @@ def _records(path):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"record {index}: invalid JSON ({exc})", index) from exc
+                raise ParseError(f"{path}: record {index}: invalid JSON ({exc})", index) from exc
             if not isinstance(record, dict) or "id" not in record or "source" not in record:
-                raise ParseError(f"record {index}: missing id/source field", index)
+                raise ParseError(f"{path}: record {index}: missing id/source field", index)
             cid = record["id"]
             if not isinstance(cid, str) or not isinstance(record["source"], str):
-                raise ParseError(f"record {index}: id and source must be strings", index)
+                raise ParseError(f"{path}: record {index}: id and source must be strings", index)
             if cid in seen:
-                raise SchemaError(f"record {index}: duplicate contract id {cid!r}")
+                raise SchemaError(f"{path}: record {index}: duplicate contract id {cid!r}")
             seen.add(cid)
             yield index, record
 
 
-def _labels(index: int, record: dict, taxonomy: Sequence[str]) -> Optional[tuple[int, ...]]:
+def _labels(path, index: int, record: dict,
+            taxonomy: Sequence[str]) -> Optional[tuple[int, ...]]:
     """The record's labels, one integer 0 or 1 per taxonomy label; None if unlabeled."""
     bits = record.get("labels")
     if bits is None:
         return None
-    where = f"record {index} ({record['id']!r})"
+    where = f"{path}: record {index} ({record['id']!r})"
     # bool is an int subclass; JSON true/false are not labels
     if not (isinstance(bits, list) and all(type(b) is int and b in (0, 1) for b in bits)):
         raise SchemaError(f"{where}: labels must be a JSON array of integers 0 or 1, "
@@ -212,11 +232,12 @@ def ingest(path, taxonomy: Sequence[str], split: str = "train") -> Dataset:
     taxonomy = tuple(taxonomy)
     contracts = []
     for index, record in _records(path):
-        labels = _labels(index, record, taxonomy)
+        labels = _labels(path, index, record, taxonomy)
         try:
             source = preprocess(record["source"])
         except EmptyContract as exc:
-            raise ParseError(f"record {index}: empty source after preprocessing", index) from exc
+            raise ParseError(f"{path}: record {index}: empty source after preprocessing",
+                             index) from exc
         contracts.append(Contract(id=record["id"], source=source, labels=labels))
     return Dataset(
         contracts=tuple(contracts),
@@ -232,7 +253,8 @@ def read_ids(path) -> tuple[str, ...]:
 
 def read_labels(path, taxonomy: Sequence[str]) -> dict[str, Optional[tuple[int, ...]]]:
     """Labels (or None) by contract id, checked like `ingest` but not preprocessed."""
-    return {record["id"]: _labels(index, record, taxonomy) for index, record in _records(path)}
+    return {record["id"]: _labels(path, index, record, taxonomy)
+            for index, record in _records(path)}
 
 
 def check_disjoint(train_ids: Iterable[str], test_ids: Iterable[str]) -> None:

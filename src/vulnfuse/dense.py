@@ -13,22 +13,51 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bm25 import RowOrder, threshold_vote
-from .corpus import Contract, Dataset, check_label_rows, label_matrix, signed_buckets, word_tokens
+from .corpus import (Contract, Dataset, check_label_rows, decode_strings, encode_strings,
+                     label_matrix, signed_buckets, word_tokens)
 from .errors import EmptyFragment, EmptyStore, InvalidParameter, NoFragments
 
-DEFAULT_WINDOW = 1500
-DEFAULT_OVERLAP = 300
-DEFAULT_MIN_LEN = 100
-DEFAULT_CHI = 5
 DEFAULT_EMBED_DIM = 256
+
+
+class HashingEmbedder:
+    """Signed feature hashing of token 3-grams, L2-normalized."""
+
+    def __init__(self, dim: int = DEFAULT_EMBED_DIM):
+        if dim < 1:
+            raise InvalidParameter("embedding dimension must be positive")
+        self.dim = dim
+
+    def _grams(self, text: str) -> list[str]:
+        tokens = word_tokens(text)
+        if not tokens:
+            raise EmptyFragment("fragment has no tokenizable content")
+        if len(tokens) < 3:
+            return [" ".join(tokens)]
+        return [f"{a} {b} {c}" for a, b, c in zip(tokens, tokens[1:], tokens[2:])]
+
+    def embed(self, fragment_text: str) -> np.ndarray:
+        if not fragment_text:
+            raise EmptyFragment("cannot embed empty text")
+        # sums of +/-1 are exact, so bincount matches any accumulation order
+        idx, signs = signed_buckets(self._grams(fragment_text), self.dim)
+        vec = np.bincount(idx, weights=signs, minlength=self.dim)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            # opposite-signed grams cancelled; fall back to unsigned counts
+            vec = np.bincount(idx, minlength=self.dim).astype(np.float64)
+            norm = np.linalg.norm(vec)
+        return vec / norm
 
 
 @dataclass(frozen=True)
 class SegmentationParams:
-    window: int = DEFAULT_WINDOW
-    overlap: int = DEFAULT_OVERLAP
-    min_len: int = DEFAULT_MIN_LEN
-    chi: int = DEFAULT_CHI
+    """The `dense` config section: fragment cut and embedding, and chi hits per fragment."""
+    window: int = 1500
+    overlap: int = 300
+    min_len: int = 100
+    chi: int = 5
+    embed_dim: int = DEFAULT_EMBED_DIM
 
     def __post_init__(self):
         if not 0 <= self.overlap < self.window:
@@ -37,6 +66,7 @@ class SegmentationParams:
             raise InvalidParameter("min_len must be positive")
         if self.chi < 1:
             raise InvalidParameter("chi must be at least 1")
+        HashingEmbedder(self.embed_dim)  # checks the dimension
 
 
 @dataclass(frozen=True)
@@ -78,36 +108,6 @@ def expected_fragment_count(source_len: int, params: SegmentationParams) -> int:
     return -(-(source_len - params.overlap) // stride)
 
 
-class HashingEmbedder:
-    """Signed feature hashing of token 3-grams, L2-normalized."""
-
-    def __init__(self, dim: int = DEFAULT_EMBED_DIM):
-        if dim < 1:
-            raise InvalidParameter("embedding dimension must be positive")
-        self.dim = dim
-
-    def _grams(self, text: str) -> list[str]:
-        tokens = word_tokens(text)
-        if not tokens:
-            raise EmptyFragment("fragment has no tokenizable content")
-        if len(tokens) < 3:
-            return [" ".join(tokens)]
-        return [f"{a} {b} {c}" for a, b, c in zip(tokens, tokens[1:], tokens[2:])]
-
-    def embed(self, fragment_text: str) -> np.ndarray:
-        if not fragment_text:
-            raise EmptyFragment("cannot embed empty text")
-        # sums of +/-1 are exact, so bincount matches any accumulation order
-        idx, signs = signed_buckets(self._grams(fragment_text), self.dim)
-        vec = np.bincount(idx, weights=signs, minlength=self.dim)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            # opposite-signed grams cancelled; fall back to unsigned counts
-            vec = np.bincount(idx, minlength=self.dim).astype(np.float64)
-            norm = np.linalg.norm(vec)
-        return vec / norm
-
-
 class VectorStore:
     """Flat store of unit vectors scanned exhaustively with cosine similarity.
 
@@ -139,7 +139,7 @@ class VectorStore:
             vectors=self.vectors,
             dim=np.int64(self.dim),
             segmentation=np.array(self.segmentation, dtype=np.int64),
-            parent_ids=np.array(self.parent_ids, dtype=str),
+            parent_ids=encode_strings(self.parent_ids),
             frag_index=self.frag_index,
             labels=self.labels,
         )
@@ -148,15 +148,15 @@ class VectorStore:
     def load(cls, path) -> "VectorStore":
         """The store `save` wrote; KeyError or ValueError if the file is not one."""
         with np.load(path) as data:
-            return cls(data["vectors"], data["parent_ids"].tolist(), data["frag_index"],
+            return cls(data["vectors"], decode_strings(data["parent_ids"]), data["frag_index"],
                        data["labels"], int(data["dim"]),
                        tuple(data["segmentation"].tolist()))
 
 
-def build_store(train: Dataset, params: SegmentationParams = SegmentationParams(),
-                embedder: Optional[HashingEmbedder] = None) -> VectorStore:
-    """Segment and embed every training contract into one flat store."""
-    embedder = embedder or HashingEmbedder()
+def build_store(train: Dataset, params: SegmentationParams = SegmentationParams()) -> VectorStore:
+    """Segment every training contract and embed it at dimension `params.embed_dim`
+    into one flat store."""
+    embedder = HashingEmbedder(params.embed_dim)
     vectors, rows, frag_index = [], [], []  # rows: each fragment's contract
     for row, contract in enumerate(train):
         for frag in segment(contract.source, params):

@@ -114,8 +114,7 @@ class MockDetector(Detector):
 class Bm25Detector(Detector):
     name = "bm25"
 
-    def __init__(self, index: Bm25Index, num_labels: int, top_k: int = 7,
-                 vote_threshold: int = 4):
+    def __init__(self, index: Bm25Index, num_labels: int, top_k: int, vote_threshold: int):
         super().__init__(num_labels)
         self.index = index
         self.top_k = top_k

@@ -14,9 +14,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .corpus import decode_strings, encode_strings
 from .detectors import Detections
 from .errors import EmptyDataset, InvalidParameter, NumericError, ShapeError
-from .sgd import bce_loss, fit, sigmoid
+from .sgd import bce_loss, check_schedule, fit, sigmoid
 
 DEFAULT_HIDDEN1 = 16
 DEFAULT_HIDDEN2 = 8
@@ -46,6 +47,21 @@ def check_params(h1: int, h2: int, threshold: float = DEFAULT_THRESHOLD) -> None
         raise InvalidParameter("hidden sizes must be positive")
     if not 0.0 <= threshold <= 1.0:
         raise InvalidParameter(f"threshold must be in [0, 1], got {threshold}")
+
+
+@dataclass(frozen=True)
+class MetaParams:
+    """The `meta` config section: hidden sizes, decision threshold, training schedule."""
+    hidden1: int = DEFAULT_HIDDEN1
+    hidden2: int = DEFAULT_HIDDEN2
+    threshold: float = DEFAULT_THRESHOLD
+    learning_rate: float = 0.1
+    batch_size: int = 32
+    epochs: int = 300
+
+    def __post_init__(self):
+        check_params(self.hidden1, self.hidden2, self.threshold)
+        check_schedule(self.learning_rate, self.batch_size, self.epochs)
 
 
 def init_meta(psi: int = 3, h1: int = DEFAULT_HIDDEN1, h2: int = DEFAULT_HIDDEN2,
@@ -88,14 +104,6 @@ def meta_forward(learner: MetaLearner, raw) -> np.ndarray:
 
 
 @dataclass
-class MetaTrainConfig:
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    epochs: int = 300
-    seed: int = 0
-
-
-@dataclass
 class MetaTrainResult:
     loss_trace: list[float] = field(default_factory=list)
 
@@ -125,14 +133,16 @@ def _batch_grads(learner: MetaLearner, raw, y, out: Optional[dict] = None):
     return (bce_loss(y, p) if fresh else p), out
 
 
-def train_meta(rows: np.ndarray, targets: np.ndarray,
-               config: MetaTrainConfig = MetaTrainConfig(),
+def train_meta(rows: np.ndarray, targets: np.ndarray, params: MetaParams = MetaParams(),
+               seed: int = 0,
                learner: Optional[MetaLearner] = None) -> tuple[MetaLearner, MetaTrainResult]:
     """Fit the learner by mini-batch gradient descent on BCE; seed-deterministic.
 
     `rows` holds one length-psi base-prediction vector per (contract, label)
     pair; `targets` the matching truth bits. Runs `sgd.fit`, the adapter's
-    loop too; a learner passed in is trained in place and returned.
+    loop too, on the schedule in `params`; `seed` draws the batches and, when
+    no learner is passed in, a learner of the hidden sizes in `params`. A
+    learner passed in is trained in place and returned.
     """
     rows = np.asarray(rows, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).ravel()
@@ -141,10 +151,10 @@ def train_meta(rows: np.ndarray, targets: np.ndarray,
     if rows.shape[0] != targets.shape[0]:
         raise ShapeError("rows and targets must have the same length")
     if learner is None:
-        learner = init_meta(psi=rows.shape[1], seed=config.seed)
-    params = {name: (learner, name) for name in FIELDS}
-    trace = fit(params, lambda xb, yb, out: _batch_grads(learner, xb, yb, out)[0],
-                rows, targets, config)
+        learner = init_meta(rows.shape[1], params.hidden1, params.hidden2, seed)
+    trace = fit({name: (learner, name) for name in FIELDS},
+                lambda xb, yb, out: _batch_grads(learner, xb, yb, out)[0],
+                rows, targets, params, seed)
     return learner, MetaTrainResult(loss_trace=trace)
 
 
@@ -219,7 +229,7 @@ def save_meta(path, learner: MetaLearner, detectors: Sequence[str],
         path,
         w=learner.w, w1=learner.w1, b1=learner.b1, w2=learner.w2, b2=learner.b2,
         w3=learner.w3, b3=learner.b3, threshold=np.float64(threshold),
-        detectors=np.array(detectors, dtype=str),
+        detectors=encode_strings(detectors),
     )
 
 
@@ -231,7 +241,7 @@ def load_meta(path) -> tuple[MetaLearner, float, tuple[str, ...]]:
             w3=data["w3"].copy(), b3=data["b3"].copy(),
         )
         threshold = float(data["threshold"])
-        detectors = tuple(data["detectors"].tolist())
+        detectors = decode_strings(data["detectors"])
     return learner, threshold, detectors
 
 

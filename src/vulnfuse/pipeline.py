@@ -83,12 +83,23 @@ def _check_built(workdir, name, producer: str, what: str, built, configured) -> 
                          f"configured {configured}; rerun '{producer}'")
 
 
+def _read_input(key: str, path, read, *args):
+    """`read(path, *args)` of the input file the config sets at `key`; a missing,
+    unreadable or malformed file is a StageError naming it. A dataset record that
+    breaks the schema stays the ParseError or SchemaError that names the file and
+    the record."""
+    try:
+        return read(path, *args)
+    except (OSError, TypeError, ValueError) as exc:
+        raise StageError(f"cannot read {key} file {path} ({type(exc).__name__}: {exc})") from exc
+
+
 def _dataset_files(config: PipelineConfig) -> tuple[tuple[str, ...], dict]:
     """The taxonomy and the dataset path of each split."""
     if not config.taxonomy_path or not config.train_path or not config.test_path:
         raise ConfigError("config must set taxonomy and datasets.train/datasets.test",
                           keys=["taxonomy", "datasets"])
-    return (load_taxonomy(config.taxonomy_path),
+    return (_read_input("taxonomy", config.taxonomy_path, load_taxonomy),
             {"train": config.train_path, "test": config.test_path})
 
 
@@ -99,18 +110,9 @@ def _load_split(config: PipelineConfig, split: str) -> Dataset:
     """
     taxonomy, paths = _dataset_files(config)
     (other,) = set(paths) - {split}
-    dataset = ingest(paths[split], taxonomy, split)
-    check_disjoint(dataset.ids(), read_ids(paths[other]))
+    dataset = _read_input(f"datasets.{split}", paths[split], ingest, taxonomy, split)
+    check_disjoint(dataset.ids(), _read_input(f"datasets.{other}", paths[other], read_ids))
     return dataset
-
-
-def _segmentation(config: PipelineConfig) -> dense_mod.SegmentationParams:
-    return dense_mod.SegmentationParams(
-        window=config.dense.window,
-        overlap=config.dense.overlap,
-        min_len=config.dense.min_len,
-        chi=config.dense.chi,
-    )
 
 
 META_HOLDOUT_FRACTION = 0.3
@@ -143,8 +145,8 @@ def meta_holdout_split(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 
 def stage_ingest(config: PipelineConfig) -> dict:
     taxonomy, paths = _dataset_files(config)
-    train = ingest(paths["train"], taxonomy, "train")
-    test = ingest(paths["test"], taxonomy, "test")
+    train, test = (_read_input(f"datasets.{split}", paths[split], ingest, taxonomy, split)
+                   for split in ("train", "test"))
     check_disjoint(train.ids(), test.ids())
     return {
         "taxonomy": list(train.taxonomy),
@@ -160,9 +162,7 @@ def stage_build_index(config: PipelineConfig, workdir) -> dict:
     index = bm25_mod.build_bm25(base, k1=config.bm25.k1, b=config.bm25.b,
                                 keywords=config.bm25.keywords)
     index.save(_artifact(workdir, "bm25_index"))
-    store = dense_mod.build_store(
-        base, _segmentation(config), dense_mod.HashingEmbedder(config.dense.embed_dim)
-    )
+    store = dense_mod.build_store(base, config.dense)
     store.save(_artifact(workdir, "dense_store"))
     return {"bm25_documents": index.N, "dense_vectors": len(store)}
 
@@ -176,13 +176,6 @@ def stage_train_slora(config: PipelineConfig, workdir) -> dict:
     layer = slora_mod.init_adapter(config.slora.feature_dim, config.slora.rank,
                                    config.slora.alpha, seed=config.seed)
     head = slora_mod.init_head(config.slora.feature_dim, len(train.taxonomy), seed=config.seed)
-    train_cfg = slora_mod.TrainConfig(
-        learning_rate=config.slora.learning_rate,
-        batch_size=config.slora.batch_size,
-        epochs=config.slora.epochs,
-        patience=config.slora.patience,
-        seed=config.seed,
-    )
     val = None
     if config.slora.patience is not None:
         rng = np.random.default_rng(config.seed)
@@ -191,7 +184,7 @@ def stage_train_slora(config: PipelineConfig, workdir) -> dict:
         val_idx, train_idx = order[:n_val], order[n_val:]
         val = (x[val_idx], y[val_idx])
         x, y = x[train_idx], y[train_idx]
-    result = slora_mod.train(layer, head, x, y, train_cfg, val=val)
+    result = slora_mod.train(layer, head, x, y, config.slora, config.seed, val=val)
     slora_mod.save_checkpoint(_artifact(workdir, "slora_ckpt"), layer, head,
                               extractor, train.taxonomy)
     _write_loss_trace(_artifact(workdir, "slora_loss"), result.loss_trace, result.val_trace)
@@ -222,10 +215,12 @@ def build_detectors(config: PipelineConfig, taxonomy, workdir) -> list:
                                           vote_threshold=config.bm25.vote_threshold))
         elif kind == "dense":
             store = _load(workdir, "dense_store", "build-index", dense_mod.VectorStore.load)
-            params = _segmentation(config)
+            dense = config.dense
             _check_built(workdir, "dense_store", "build-index", "(window, overlap, min_len)",
-                         store.segmentation, (params.window, params.overlap, params.min_len))
-            detectors.append(DenseDetector(store, num_labels, params))
+                         store.segmentation, (dense.window, dense.overlap, dense.min_len))
+            _check_built(workdir, "dense_store", "build-index", "embed_dim", store.dim,
+                         dense.embed_dim)
+            detectors.append(DenseDetector(store, num_labels, dense))
         elif kind == "slora":
             layer, head, extractor, ck_tax = _load(workdir, "slora_ckpt", "train-slora",
                                                    slora_mod.load_checkpoint)
@@ -259,17 +254,7 @@ def stage_train_meta(config: PipelineConfig, workdir) -> dict:
     record = batch_detect(detectors, labeled, len(train.taxonomy))
     rows, targets = meta_mod.rows_from_results(record,
                                                label_matrix(labeled, len(train.taxonomy)))
-    learner, result = meta_mod.train_meta(
-        rows, targets,
-        meta_mod.MetaTrainConfig(
-            learning_rate=config.meta.learning_rate,
-            batch_size=config.meta.batch_size,
-            epochs=config.meta.epochs,
-            seed=config.seed,
-        ),
-        learner=meta_mod.init_meta(psi=len(detectors), h1=config.meta.hidden1,
-                                   h2=config.meta.hidden2, seed=config.seed),
-    )
+    learner, result = meta_mod.train_meta(rows, targets, config.meta, config.seed)
     meta_mod.save_meta(_artifact(workdir, "meta_ckpt"), learner, record.names,
                        config.meta.threshold)
     _write_loss_trace(_artifact(workdir, "meta_loss"), result.loss_trace)
@@ -328,8 +313,8 @@ def _score(records: list[dict], truth_by_id: dict) -> EvalSummary:
 def stage_evaluate(config: PipelineConfig, workdir) -> EvalSummary:
     # only ids and labels are read, so the test sources are not preprocessed
     taxonomy, paths = _dataset_files(config)
-    truth_by_id = read_labels(paths["test"], taxonomy)
-    check_disjoint(truth_by_id, read_ids(paths["train"]))
+    truth_by_id = _read_input("datasets.test", paths["test"], read_labels, taxonomy)
+    check_disjoint(truth_by_id, _read_input("datasets.train", paths["train"], read_ids))
     # a line that does not parse, or rows that do not fit the taxonomy, is a StageError
     summary = _load(workdir, "results", "detect",
                     lambda path: _score(_read_results(path), truth_by_id))
@@ -347,8 +332,10 @@ def stage_evaluate(config: PipelineConfig, workdir) -> EvalSummary:
 def stage_report(config: PipelineConfig, workdir, contract_id=None) -> list[str]:
     test = _load_split(config, "test")
     records = _load(workdir, "results", "detect", _read_results)
-    knowledge = load_knowledge(config.knowledge_path) if config.knowledge_path else None
-    template = (load_prompt_template(config.prompt_template_path)
+    knowledge = (_read_input("knowledge", config.knowledge_path, load_knowledge)
+                 if config.knowledge_path else None)
+    template = (_read_input("prompt_template", config.prompt_template_path,
+                            load_prompt_template)
                 if config.prompt_template_path else COT_PROMPT_TEMPLATE)
     report_dir = Path(workdir) / "reports"
     report_dir.mkdir(parents=True, exist_ok=True)

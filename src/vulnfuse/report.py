@@ -184,7 +184,11 @@ COT_PROMPT_TEMPLATE = (
 
 def load_knowledge(path) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {label: dict(sections) for label, sections in data.items()}
+    if not isinstance(data, dict) or not all(
+            isinstance(sections, dict) and all(isinstance(v, str) for v in sections.values())
+            for sections in data.values()):
+        raise ValueError("knowledge file must map each label to an object of section strings")
+    return data
 
 
 def load_prompt_template(path) -> str:

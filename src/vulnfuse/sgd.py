@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import InvalidParameter, NumericError, ShapeError
 
 BCE_EPS = 1e-7
 
@@ -38,7 +38,15 @@ def bce_loss(y, yhat) -> float:
     return float(-np.mean(_bce_terms(y, yhat)))
 
 
-def fit(params: dict, step: Callable, x: np.ndarray, y: np.ndarray, config,
+def check_schedule(learning_rate: float, batch_size: int, epochs: int) -> None:
+    """A schedule needs a learning rate >= 0 and at least one row per batch and one epoch."""
+    if not learning_rate >= 0:
+        raise InvalidParameter(f"learning rate must be non-negative, got {learning_rate}")
+    if batch_size < 1 or epochs < 1:
+        raise InvalidParameter("batch size and epochs must be at least 1")
+
+
+def fit(params: dict, step: Callable, x: np.ndarray, y: np.ndarray, schedule, seed: int,
         after_epoch: Optional[Callable[[], bool]] = None) -> list[float]:
     """Mini-batch gradient descent; returns the mean training loss of each epoch.
 
@@ -47,10 +55,11 @@ def fit(params: dict, step: Callable, x: np.ndarray, y: np.ndarray, config,
     buffer; afterwards the trained values are copied into the caller's
     original arrays, which are put back. `step(xb, yb, out)` writes the
     batch's gradients into the views in `out` and returns the batch
-    probabilities, from which the loss is taken once per epoch. `config`
-    supplies learning_rate, batch_size, epochs and seed. `after_epoch`
-    returning True ends training early. Raises NumericError when an epoch's
-    loss is not finite, so a diverged run is never saved.
+    probabilities, from which the loss is taken once per epoch. `schedule`
+    supplies learning_rate, batch_size and epochs; `seed` draws the epochs'
+    permutations. `after_epoch` returning True ends training early. Raises
+    NumericError when an epoch's loss is not finite, so a diverged run is
+    never saved.
     """
     fields = list(params.values())
     originals = [getattr(owner, attr) for owner, attr in fields]
@@ -63,21 +72,21 @@ def fit(params: dict, step: Callable, x: np.ndarray, y: np.ndarray, config,
     for (owner, attr), view in zip(fields, views):
         setattr(owner, attr, view)
 
-    rng = np.random.default_rng(config.seed)
-    eta = config.learning_rate
+    rng = np.random.default_rng(seed)
+    eta, batch_size = schedule.learning_rate, schedule.batch_size
     n = x.shape[0]
-    starts = range(0, n, config.batch_size)
+    starts = range(0, n, batch_size)
     probs = np.empty(y.shape)
     trace = []
     try:
-        for epoch in range(config.epochs):
+        for epoch in range(schedule.epochs):
             order = rng.permutation(n)
             xe, ye = x[order], y[order]
             for start in starts:
-                stop = start + config.batch_size
+                stop = start + batch_size
                 probs[start:stop] = step(xe[start:stop], ye[start:stop], out)
                 flat -= eta * grad
-            trace.append(_epoch_loss(ye, probs, config.batch_size))
+            trace.append(_epoch_loss(ye, probs, batch_size))
             if not np.isfinite(trace[-1]):
                 raise NumericError(f"training loss is not finite in epoch {epoch}")
             if after_epoch is not None and after_epoch():

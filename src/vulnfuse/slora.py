@@ -9,7 +9,6 @@ features.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,9 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, label_matrix, signed_buckets, word_tokens
+from .corpus import (Dataset, decode_strings, encode_strings, label_matrix, signed_buckets,
+                     word_tokens)
 from .errors import EmptyDataset, InvalidParameter, ShapeError
-from .sgd import bce_loss, fit, sigmoid
+from .sgd import bce_loss, check_schedule, fit, sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,24 @@ def check_adapter_params(dim: int, rank: int, alpha: float) -> None:
         raise InvalidParameter(f"rank must be in [1, {dim}], got {rank}")
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameter(f"sparsity level must be in [0, 1], got {alpha}")
+
+
+@dataclass(frozen=True)
+class SloraParams:
+    """The `slora` config section: feature and adapter shape, training schedule, patience."""
+    feature_dim: int = 64
+    rank: int = 8
+    alpha: float = 0.9
+    learning_rate: float = 5e-5
+    batch_size: int = 8
+    epochs: int = 5
+    patience: Optional[int] = None
+
+    def __post_init__(self):
+        check_adapter_params(self.feature_dim, self.rank, self.alpha)
+        check_schedule(self.learning_rate, self.batch_size, self.epochs)
+        if self.patience is not None and self.patience < 1:
+            raise InvalidParameter(f"patience must be at least 1, got {self.patience}")
 
 
 def init_adapter(dim: int, rank: int, alpha: float, seed: int = 0) -> AdapterLayer:
@@ -166,21 +184,6 @@ def classifier_probs(x: np.ndarray, layer: AdapterLayer, head: ReadoutHead) -> n
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TrainConfig:
-    learning_rate: float = 5e-5
-    batch_size: int = 8
-    epochs: int = 5
-    patience: Optional[int] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise InvalidParameter("learning rate must be non-negative")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise InvalidParameter("batch size and epochs must be at least 1")
-
-
-@dataclass
 class TrainResult:
     loss_trace: list[float] = field(default_factory=list)
     val_trace: list[float] = field(default_factory=list)
@@ -216,15 +219,15 @@ def batch_loss_and_grads(x, y, layer: AdapterLayer, head: ReadoutHead, mask: np.
 
 
 def train(layer: AdapterLayer, head: ReadoutHead, features: np.ndarray,
-          labels: np.ndarray, config: TrainConfig,
+          labels: np.ndarray, params: SloraParams, seed: int,
           val: Optional[tuple[np.ndarray, np.ndarray]] = None) -> TrainResult:
     """Mini-batch gradient descent on U, V, S and the head; W_q stays frozen.
 
     Runs `sgd.fit`, which updates the caller's layer and head arrays in
-    place. The mask is recomputed from |S| before every batch. With a
-    validation pair and a patience setting, training stops once validation
-    loss fails to improve for that many consecutive epochs; the last
-    epoch's weights are kept.
+    place, on the schedule in `params`; `seed` draws the batches. The mask is
+    recomputed from |S| before every batch. With a validation pair and a
+    patience setting, training stops once validation loss fails to improve
+    for that many consecutive epochs; the last epoch's weights are kept.
     """
     n = features.shape[0]
     if n == 0:
@@ -246,18 +249,18 @@ def train(layer: AdapterLayer, head: ReadoutHead, features: np.ndarray,
             return False
         vloss = bce_loss(val[1].ravel(), classifier_probs(val[0], layer, head).ravel())
         result.val_trace.append(vloss)
-        if config.patience is None:
+        if params.patience is None:
             return False
         if vloss < best_val - 1e-12:
             best_val = vloss
             stale = 0
             return False
         stale += 1
-        return stale >= config.patience
+        return stale >= params.patience
 
-    params = {"u": (layer, "u"), "v": (layer, "v"), "s": (layer, "s"),
+    fields = {"u": (layer, "u"), "v": (layer, "v"), "s": (layer, "s"),
               "head_w": (head, "w"), "head_b": (head, "b")}
-    result.loss_trace = fit(params, step, features, labels, config, after_epoch)
+    result.loss_trace = fit(fields, step, features, labels, params, seed, after_epoch)
     result.epochs_run = len(result.loss_trace)
     return result
 
@@ -269,7 +272,7 @@ def train(layer: AdapterLayer, head: ReadoutHead, features: np.ndarray,
 class HashedFeatureExtractor:
     """Bag of hashed tokens, L2-normalized; keyed by seed for reproducibility."""
 
-    def __init__(self, dim: int = 64, seed: int = 0):
+    def __init__(self, dim: int, seed: int = 0):
         if dim < 1:
             raise InvalidParameter("feature dimension must be positive")
         self.dim = dim
@@ -310,7 +313,7 @@ def save_checkpoint(path, layer: AdapterLayer, head: ReadoutHead,
         alpha=np.float64(layer.alpha), rank=np.int64(layer.rank),
         head_w=head.w, head_b=head.b,
         feat_dim=np.int64(extractor.dim), feat_seed=np.int64(extractor.seed),
-        taxonomy=np.frombuffer(json.dumps(list(taxonomy)).encode("utf-8"), dtype=np.uint8),
+        taxonomy=encode_strings(taxonomy),
     )
 
 
@@ -324,5 +327,5 @@ def load_checkpoint(path):
         )
         head = ReadoutHead(w=data["head_w"].copy(), b=data["head_b"].copy())
         extractor = HashedFeatureExtractor(dim=int(data["feat_dim"]), seed=int(data["feat_seed"]))
-        taxonomy = tuple(json.loads(bytes(data["taxonomy"]).decode("utf-8")))
+        taxonomy = decode_strings(data["taxonomy"])
     return layer, head, extractor, taxonomy

@@ -30,7 +30,7 @@ from vulnfuse.meta import adapt_to_task
 from vulnfuse.report import SECTION_HEADERS
 from vulnfuse.slora import (
     ReadoutHead,
-    TrainConfig,
+    SloraParams,
     active_entry_count,
     batch_loss_and_grads,
     classifier_probs,
@@ -129,7 +129,7 @@ def test_criterion_02_frozen_base():
     x = rng.normal(0, 1, (64, 16))
     y = rng.integers(0, 2, (64, 3)).astype(np.float64)
     before = hashlib.sha256(np.ascontiguousarray(layer.w_q).tobytes()).hexdigest()
-    train(layer, head, x, y, TrainConfig())  # Table defaults: lr 5e-5, B 8, 5 epochs
+    train(layer, head, x, y, SloraParams(), 0)  # Table defaults: lr 5e-5, B 8, 5 epochs
     after = hashlib.sha256(np.ascontiguousarray(layer.w_q).tobytes()).hexdigest()
     assert after == before
     print(f"PASS criterion 2: base weights hash unchanged after 5-epoch train ({before[:12]})")
@@ -181,7 +181,7 @@ def test_criterion_05_learning_sanity():
         layer = init_adapter(dim, 4, 0.9, seed=1)
         head = init_head(dim, num_labels, seed=1)
         result = train(layer, head, x, y,
-                       TrainConfig(learning_rate=0.1, batch_size=32, epochs=200, seed=1))
+                       SloraParams(learning_rate=0.1, batch_size=32, epochs=200), 1)
         traces.append(result.loss_trace)
         pred = (classifier_probs(x, layer, head) >= 0.5).astype(np.float64)
         tp = float(np.sum(pred * y))

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,17 +12,23 @@ import pytest
 
 import vulnfuse
 from vulnfuse import pipeline
+from vulnfuse.bm25 import Bm25Params
 from vulnfuse.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_STAGE,
+    _OVERRIDES,
     _config_with_overrides,
     build_parser,
     main,
 )
-from vulnfuse.config import PipelineConfig, load_config
-from vulnfuse.errors import ConfigError
+from vulnfuse.config import ExternalConfig, PipelineConfig, load_config
+from vulnfuse.corpus import decode_strings
+from vulnfuse.dense import SegmentationParams
+from vulnfuse.errors import ConfigError, InvalidParameter
+from vulnfuse.meta import MetaParams
+from vulnfuse.slora import SloraParams
 from vulnfuse.synth import generate_corpus, write_corpus
 
 
@@ -103,7 +111,67 @@ BAD_VALUES = [
     {"bm25": {"vote_threshold": -3}},
     {"external": {"timeout": 0}},
     {"external": {"timeout": -1.5}},
+    {"slora": {"patience": 0}},
+    {"slora": {"patience": -3}},
+    {"meta": {"batch_size": 0}},
+    {"meta": {"learning_rate": math.nan}},   # JSON NaN, which json.loads accepts
+    # every path and endpoint setting is a string
+    {"taxonomy": 5},
+    {"knowledge": ["k.json"]},
+    {"prompt_template": True},
+    {"datasets": {"train": 5}},
+    {"datasets": {"test": {"path": "t.jsonl"}}},
+    {"datasets": {"tets": "t.jsonl"}},   # unknown split
+    {"external": {"endpoint": 5}},
+    {"external": {"auth_header": 1.0}},
+    {"external": {"report_endpoint": False}},
 ]
+
+
+# each section class with one out-of-range value; all must raise on construction
+OUT_OF_RANGE = [
+    (Bm25Params, {"k1": -0.1}), (Bm25Params, {"k1": math.nan}), (Bm25Params, {"b": 1.5}),
+    (Bm25Params, {"b": -0.1}), (Bm25Params, {"top_k": 0}), (Bm25Params, {"vote_threshold": 0}),
+    (SegmentationParams, {"overlap": 1500}), (SegmentationParams, {"overlap": -1}),
+    (SegmentationParams, {"window": 0, "overlap": 0}), (SegmentationParams, {"min_len": 0}),
+    (SegmentationParams, {"chi": 0}), (SegmentationParams, {"embed_dim": 0}),
+    (SloraParams, {"feature_dim": 0}), (SloraParams, {"rank": 0}), (SloraParams, {"rank": 65}),
+    (SloraParams, {"alpha": -0.1}), (SloraParams, {"alpha": 1.5}),
+    (SloraParams, {"learning_rate": -1e-9}), (SloraParams, {"learning_rate": math.nan}),
+    (SloraParams, {"batch_size": 0}), (SloraParams, {"epochs": 0}),
+    (SloraParams, {"patience": 0}), (SloraParams, {"patience": -3}),
+    (MetaParams, {"hidden1": 0}), (MetaParams, {"hidden2": 0}), (MetaParams, {"threshold": -0.1}),
+    (MetaParams, {"threshold": 1.5}), (MetaParams, {"learning_rate": -0.1}),
+    (MetaParams, {"batch_size": 0}), (MetaParams, {"epochs": 0}),
+    (ExternalConfig, {"timeout": 0}), (ExternalConfig, {"timeout": -1.5}),
+    (ExternalConfig, {"timeout": math.nan}), (PipelineConfig, {"seed": -1}),
+]
+
+
+class TestSections:
+    @pytest.mark.parametrize("section,values", OUT_OF_RANGE,
+                             ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+    def test_rejects_out_of_range_value(self, section, values):
+        with pytest.raises(InvalidParameter):
+            section(**values)
+
+    @pytest.mark.parametrize("section", [Bm25Params, SegmentationParams, SloraParams,
+                                         MetaParams, ExternalConfig])
+    def test_sections_are_frozen(self, section):
+        with pytest.raises(AttributeError):
+            setattr(section(), fields(section)[0].name, 1)
+
+    def test_override_flags_name_section_fields(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        for command, flags in _OVERRIDES.items():
+            for flag, (target, kind, _) in flags.items():
+                section, _, name = target.partition(".")
+                assert name in {f.name for f in fields(getattr(PipelineConfig(), section))}, flag
+                value = {int: "3", float: "0.5", str: "http://x/"}[kind]
+                config = _config_with_overrides(build_parser().parse_args(
+                    [command, "--config", str(path), flag, value]))
+                assert getattr(getattr(config, section), name) == kind(value), (command, flag)
 
 
 class TestLoadConfig:
@@ -366,6 +434,11 @@ class TestCliFlow:
         ("train-slora", ["--alpha", "1.5"]),
         ("build-index", ["--seed", "-5"]),
         ("build-index", ["--b", "1.5"]),
+        ("train-slora", {"slora": {"patience": 0}}),
+        ("ingest", {"taxonomy": 5}),
+        ("detect", {"external": {"endpoint": 5}}),
+        ("train-meta", ["--epochs", "0"]),
+        ("train-slora", ["--rank", "0"]),
     ])
     def test_bad_value_exits_2(self, mini_project, tmp_path, capsys, command, section):
         config = json.loads(Path(mini_project["config"]).read_text())
@@ -454,7 +527,8 @@ class TestCliFlow:
         ({"dense": {"min_len": 50}}, EXIT_STAGE),
         ({"bm25": {"keywords": ["call"]}}, EXIT_STAGE),
         ({"dense": {"chi": 3}}, EXIT_OK),   # query-time, not part of the store
-    ], ids=["reordered", "window", "overlap", "min_len", "keywords", "chi"])
+        ({"dense": {"embed_dim": 128}}, EXIT_STAGE),
+    ], ids=["reordered", "window", "overlap", "min_len", "keywords", "chi", "embed_dim"])
     def test_detect_checks_what_artifacts_were_built_with(self, trained, tmp_path, capsys,
                                                           changes, code):
         config = {**json.loads(Path(trained["config"]).read_text()), **changes}
@@ -474,8 +548,10 @@ class TestCliFlow:
     ] + [
         (artifact, "build-index", damage) for artifact in ("bm25_index", "dense_store")
         for damage in ("label of 2", "one label row short")
-    ] + [("dense_store", "build-index", "metadata blob")],
-        ids=lambda value: value)
+    ] + [("dense_store", "build-index", "metadata blob")] + [
+        (artifact, producer, "string array") for artifact, producer in (
+            ("dense_store", "build-index"), ("meta_ckpt", "train-meta"))
+    ], ids=lambda value: value)
     def test_malformed_artifact_exits_3(self, trained, tmp_path, capsys, artifact, producer,
                                         damage):
         work = shutil.copytree(trained["work"], tmp_path / "work")
@@ -502,6 +578,9 @@ class TestCliFlow:
                 kept["labels"][-1, 0] = 2
             elif damage == "one label row short":
                 kept["labels"] = kept["labels"][:-1]
+            elif damage == "string array":   # a NumPy string array, as written before
+                key = "parent_ids" if artifact == "dense_store" else "detectors"
+                kept[key] = np.array(decode_strings(kept[key]), dtype=str)
             else:   # the fragments' ids and labels in one JSON blob, as written before
                 meta = [{"parent_id": p, "frag_index": int(f), "labels": row}
                         for p, f, row in zip(kept.pop("parent_ids").tolist(),
@@ -513,6 +592,65 @@ class TestCliFlow:
             == EXIT_STAGE
         err = capsys.readouterr().err
         assert f"cannot read {path}" in err and f"rerun '{producer}'" in err
+
+    @pytest.mark.parametrize("command,key,content", [
+        ("ingest", "taxonomy", None),
+        ("ingest", "taxonomy", "[1, "),
+        ("ingest", "taxonomy", '{"reentrancy": 0}'),
+        ("ingest", "taxonomy", '["reentrancy", "reentrancy"]'),
+        ("ingest", "datasets.train", None),
+        ("ingest", "datasets.train", "not json\n"),
+        ("ingest", "datasets.train", '{"id": "x", "source": "// only a comment"}\n'),
+        ("ingest", "datasets.test", b"\xff\xfe"),
+        ("evaluate", "datasets.test", None),
+        ("evaluate", "datasets.test", '{"id": "x", "source": "contract X {}", "labels": [2]}\n'),
+        ("report", "knowledge", None),
+        ("report", "knowledge", "[]"),
+        ("report", "knowledge", '{"reentrancy": 5}'),
+        ("report", "knowledge", '{"reentrancy": {"root_causes": 5}}'),
+        ("report", "prompt_template", None),
+        ("report", "prompt_template", "no placeholders"),
+    ], ids=["taxonomy-missing", "taxonomy-not-json", "taxonomy-object", "taxonomy-duplicate",
+            "train-missing", "train-record-not-json", "train-record-empty-source",
+            "test-not-utf8", "test-missing-in-evaluate", "test-record-bad-label-in-evaluate",
+            "knowledge-missing", "knowledge-list",
+            "knowledge-section-not-object", "knowledge-section-not-string",
+            "template-missing", "template-no-slots"])
+    def test_bad_input_file_exits_3(self, trained, tmp_path, capsys, command, key, content):
+        config = json.loads(Path(trained["config"]).read_text())
+        path = tmp_path / "input"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        if key.startswith("datasets."):
+            config["datasets"][key.partition(".")[2]] = str(path)
+        else:
+            config[key] = str(path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        work = shutil.copytree(trained["work"], tmp_path / "work")
+        if command == "report":   # reports render detect's results
+            assert main(["detect", "--config", trained["config"], "--out", str(work)]) == EXIT_OK
+            capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(work)]) == EXIT_STAGE
+        assert str(path) in capsys.readouterr().err
+
+    def test_detector_name_with_trailing_nul_runs_through_detect(self, tmp_path, capsys):
+        # a NumPy string array in meta_ckpt.npz would read "m\x00" back as "m"
+        paths = write_corpus(tmp_path / "corpus", 10, 1)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "taxonomy": paths["taxonomy"],
+            "datasets": {"train": paths["train"], "test": paths["test"]},
+            "detectors": [{"kind": "mock", "probabilities": [0.5] * 5, "name": "m\x00"}],
+            "meta": {"epochs": 2},
+        }))
+        work = tmp_path / "work"
+        for command in ("train-meta", "detect"):
+            assert main([command, "--config", str(cfg), "--out", str(work)]) == EXIT_OK
+        records = (work / pipeline.ARTIFACTS["results"]).read_text().splitlines()
+        assert all(set(json.loads(line)["detectors"]) == {"m\x00"} for line in records)
 
     @pytest.mark.parametrize("damage", ["not json", "no verified_labels", "ragged labels",
                                         "short labels", "short probabilities"])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,8 @@ from vulnfuse.corpus import (
     Contract,
     Dataset,
     check_disjoint,
+    decode_strings,
+    encode_strings,
     ingest,
     load_taxonomy,
     preprocess,
@@ -299,3 +302,27 @@ class TestDataset:
         tax.write_text('["a", "a"]')
         with pytest.raises(SchemaError):
             load_taxonomy(tax)
+
+
+class TestStoredStrings:
+    @settings(max_examples=200, deadline=None)
+    @given(strings=st.lists(st.text()))
+    @example(strings=["a\x00", "\x00", "", "a"])
+    def test_round_trip(self, strings):
+        data = encode_strings(strings)
+        assert data.dtype == np.uint8 and data.ndim == 1
+        assert decode_strings(data) == tuple(strings)
+
+    def test_names_the_old_string_array_format(self):
+        with pytest.raises(ValueError, match="UTF-8 JSON bytes, got <U1"):
+            decode_strings(np.array(["a", "b"], dtype=str))
+
+    @pytest.mark.parametrize("data", [
+        np.frombuffer(b'{"a": 1}', dtype=np.uint8),
+        np.frombuffer(b'["a", 1]', dtype=np.uint8),
+        np.frombuffer(b'["a"', dtype=np.uint8),
+        np.frombuffer(b'["\xff"]', dtype=np.uint8),
+    ], ids=["object", "non-string", "truncated", "not utf-8"])
+    def test_rejects_other_arrays(self, data):
+        with pytest.raises(ValueError):
+            decode_strings(data)

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vulnfuse.corpus import Contract, Dataset, signed_buckets
+from vulnfuse.corpus import Contract, Dataset, decode_strings, encode_strings, signed_buckets
 from vulnfuse.dense import (
     HashingEmbedder,
     SegmentationParams,
@@ -216,9 +217,28 @@ class TestStore:
         assert loaded.dim == store.dim
         assert loaded.segmentation == store.segmentation == (1500, 300, 100)
 
+    def test_embeds_at_the_configured_dimension(self, taxonomy5):
+        store = build_store(store_dataset(taxonomy5), SegmentationParams(embed_dim=16))
+        assert store.dim == 16 and store.vectors.shape == (12, 16)
+
+    def test_id_with_trailing_nul_survives_save_load(self, tmp_path, taxonomy5):
+        # a NumPy string array would read "a\x00" back as "a" and "\x00" as ""
+        ids = ("a\x00", "a", "\x00")
+        ds = store_dataset(taxonomy5, n_contracts=3)
+        ds = Dataset(contracts=tuple(replace(c, id=cid) for c, cid in zip(ds, ids)),
+                     taxonomy=ds.taxonomy)
+        path = tmp_path / "store.npz"
+        build_store(ds).save(path)
+        loaded = VectorStore.load(path)
+        assert loaded.parent_ids == [cid for cid in ids for _ in range(3)]
+        for contract in ds:
+            rows, _ = dense_retrieve(contract, loaded)
+            assert all(loaded.parent_ids[i] != contract.id for i in rows)
+
     @pytest.mark.parametrize("field,damage,message", [
         ("vectors", lambda a: a[:-1], "vectors but"),
-        ("parent_ids", lambda a: a[:-1], "vectors but"),
+        # the ids are one UTF-8 JSON array; drop its last id
+        ("parent_ids", lambda a: encode_strings(decode_strings(a)[:-1]), "vectors but"),
         ("frag_index", lambda a: a[:-1], "vectors but"),
         ("labels", lambda a: a[:-1], "ids but"),
         ("labels", lambda a: np.where(a == 1, 2, a), "integers 0 or 1"),

@@ -11,12 +11,13 @@ from vulnfuse.detectors import Detections, MockDetector, batch_detect
 from vulnfuse.errors import (
     AllDetectorsFailed,
     EmptyDataset,
+    InvalidParameter,
     NumericError,
     ShapeError,
 )
 from vulnfuse.meta import (
     MetaLearner,
-    MetaTrainConfig,
+    MetaParams,
     adapt_to_task,
     init_meta,
     load_meta,
@@ -145,7 +146,7 @@ class TestTrain:
         truth = rng.integers(0, 2, n).astype(np.float64)
         rows = np.stack([truth, rng.random(n), rng.random(n)], axis=1)
         learner, _ = train_meta(rows[:700], truth[:700],
-                                MetaTrainConfig(learning_rate=0.1, epochs=300, seed=0))
+                                MetaParams(learning_rate=0.1, epochs=300), 0)
         pred = (meta_forward(learner, rows[700:]) >= 0.5).astype(np.float64)
         y = truth[700:]
         tp = float(np.sum(pred * y))
@@ -161,7 +162,7 @@ class TestTrain:
         learner = init_meta(psi=3, seed=5)
         before = {k: getattr(learner, k).copy()
                   for k in ("w", "w1", "b1", "w2", "b2", "w3", "b3")}
-        train_meta(rows, targets, MetaTrainConfig(learning_rate=0.0, epochs=3, seed=5),
+        train_meta(rows, targets, MetaParams(learning_rate=0.0, epochs=3), 5,
                    learner=learner)
         for key, value in before.items():
             assert np.array_equal(getattr(learner, key), value)
@@ -173,9 +174,14 @@ class TestTrain:
         traces = []
         for _ in range(2):
             _, result = train_meta(rows, targets,
-                                   MetaTrainConfig(learning_rate=0.05, epochs=10, seed=7))
+                                   MetaParams(learning_rate=0.05, epochs=10), 7)
             traces.append(result.loss_trace)
         assert traces[0] == traces[1]
+
+    def test_zero_batch_size_rejected(self):
+        rows, targets = np.zeros((4, 3)), np.zeros(4)
+        with pytest.raises(InvalidParameter):
+            train_meta(rows, targets, MetaParams(batch_size=0), 0)
 
     def test_empty_rows(self):
         with pytest.raises(EmptyDataset):
@@ -302,7 +308,7 @@ class TestVerify:
         truth = rng.integers(0, 2, n).astype(np.float64)
         noisy = np.clip(truth + rng.normal(0, 0.2, n), 0, 1)
         rows = np.stack([noisy, truth, np.clip(truth + rng.normal(0, 0.3, n), 0, 1)], axis=1)
-        learner, _ = train_meta(rows, truth, MetaTrainConfig(learning_rate=0.1, epochs=200, seed=1))
+        learner, _ = train_meta(rows, truth, MetaParams(learning_rate=0.1, epochs=200), 1)
         labels, _ = verify(learner, record([[[1.0], [1.0], [1.0]]]))
         assert labels.tolist() == [[1]]
 

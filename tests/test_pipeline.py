@@ -8,6 +8,7 @@ import pytest
 from vulnfuse import corpus, pipeline
 from vulnfuse.config import load_config
 from vulnfuse.errors import ParseError, SchemaError
+from vulnfuse.meta import MetaParams, load_meta
 from vulnfuse.synth import write_corpus
 
 
@@ -85,6 +86,15 @@ def test_train_meta_writes_loss_trace(project):
     assert lines[0] == "epoch,train_loss"
     assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(config.meta.epochs)]
     assert lines[-1] == f"{config.meta.epochs - 1},{summary['final_loss']:.8f}"
+
+
+def test_train_meta_reads_the_meta_section(project):
+    # the hidden sizes shape the learner, and the threshold goes into the checkpoint
+    config, work = project["config"], project["work"]
+    config.meta = MetaParams(hidden1=3, hidden2=2, threshold=0.25, epochs=2)
+    pipeline.stage_train_meta(config, work)
+    learner, threshold, _ = load_meta(Path(work) / pipeline.ARTIFACTS["meta_ckpt"])
+    assert (learner.w1.shape, learner.w2.shape, threshold) == ((3, 1), (2, 3), 0.25)
 
 
 def test_detect_writes_failed_rows_as_null(project):

@@ -17,10 +17,10 @@ from hypothesis.extra.numpy import arrays
 
 from vulnfuse import meta, sgd, slora
 from vulnfuse.errors import NumericError
-from vulnfuse.meta import MetaTrainConfig, MetaTrainResult, init_meta, train_meta
+from vulnfuse.meta import MetaParams, MetaTrainResult, init_meta, train_meta
 from vulnfuse.slora import (
     ReadoutHead,
-    TrainConfig,
+    SloraParams,
     TrainResult,
     adapter_forward,
     init_adapter,
@@ -64,8 +64,8 @@ def oracle_adapter_grads(x, y, layer, head, mask):
                   "s": (x.T @ g) * mask, "head_w": h.T @ dz, "head_b": dz.sum(axis=0)}
 
 
-def oracle_train(layer, head, features, labels, config, val=None):
-    rng = np.random.default_rng(config.seed)
+def oracle_train(layer, head, features, labels, config, seed, val=None):
+    rng = np.random.default_rng(seed)
     eta = config.learning_rate
     n = features.shape[0]
     result = TrainResult()
@@ -119,8 +119,8 @@ def oracle_meta_grads(learner, raw, y):
                   "w3": d3.T @ a2, "b3": d3.sum(axis=0)}
 
 
-def oracle_train_meta(rows, targets, config, learner):
-    rng = np.random.default_rng(config.seed)
+def oracle_train_meta(rows, targets, config, seed, learner):
+    rng = np.random.default_rng(seed)
     n = rows.shape[0]
     result = MetaTrainResult()
     for _ in range(config.epochs):
@@ -228,22 +228,21 @@ class TestTrainMetaMatchesOracle:
         rng = np.random.default_rng(seed)
         rows = rng.choice([0.0, 0.5, 1.0, rng.random()], (n, psi))
         targets = rng.integers(0, 2, n).astype(np.float64)
-        config = MetaTrainConfig(learning_rate=learning_rate, batch_size=batch_size,
-                                 epochs=epochs, seed=seed)
+        config = MetaParams(learning_rate=learning_rate, batch_size=batch_size, epochs=epochs)
         learner = init_meta(psi=psi, h1=h1, h2=h2, seed=seed)
         reference = copy_meta(learner)
         arrays_before = {name: getattr(learner, name) for name in META_FIELDS}
 
         with np.errstate(all="ignore"):
-            _, want = oracle_train_meta(rows, targets, config, reference)
+            _, want = oracle_train_meta(rows, targets, config, seed, reference)
         diverged = first_non_finite(want.loss_trace)
         if diverged is not None:
             # the shared loop stops in the epoch where the old loop's loss turned non-finite
             with np.errstate(all="ignore"), \
                     pytest.raises(NumericError, match=rf"in epoch {diverged}$"):
-                train_meta(rows, targets, config, learner=learner)
+                train_meta(rows, targets, config, seed, learner=learner)
             return
-        trained, result = train_meta(rows, targets, config, learner=learner)
+        trained, result = train_meta(rows, targets, config, seed, learner=learner)
 
         assert trained is learner
         assert same_finite_trace(result.loss_trace, want.loss_trace)
@@ -256,9 +255,9 @@ class TestTrainMetaMatchesOracle:
     def test_default_learner_matches_oracle(self):
         rng = np.random.default_rng(3)
         rows, targets = rng.random((40, 3)), rng.integers(0, 2, 40).astype(np.float64)
-        config = MetaTrainConfig(learning_rate=0.3, batch_size=7, epochs=5, seed=9)
-        learner, result = train_meta(rows, targets, config)
-        reference, want = oracle_train_meta(rows, targets, config, init_meta(psi=3, seed=9))
+        config = MetaParams(learning_rate=0.3, batch_size=7, epochs=5)
+        learner, result = train_meta(rows, targets, config, 9)
+        reference, want = oracle_train_meta(rows, targets, config, 9, init_meta(psi=3, seed=9))
         assert same_finite_trace(result.loss_trace, want.loss_trace)
         for name in META_FIELDS:
             assert same_bits(getattr(learner, name), getattr(reference, name))
@@ -287,8 +286,8 @@ class TestAdapterTrainMatchesOracle:
         if n_val:
             val = (unit_rows(rng, n_val, dim),
                    rng.integers(0, 2, (n_val, num_labels)).astype(np.float64))
-        config = TrainConfig(learning_rate=learning_rate, batch_size=batch_size, epochs=epochs,
-                             patience=patience, seed=seed)
+        config = SloraParams(learning_rate=learning_rate, batch_size=batch_size, epochs=epochs,
+                             patience=patience)
         layer, head = init_adapter(dim, rank, alpha, seed=seed), init_head(dim, num_labels, seed)
         # larger starting S so the mask moves between batches
         layer.s[:] = rng.normal(0.0, 0.5, layer.s.shape)
@@ -301,13 +300,13 @@ class TestAdapterTrainMatchesOracle:
         # small dims at high learning rates can diverge; the shared loop must then
         # stop in the epoch where the old loop's loss turned non-finite
         with np.errstate(all="ignore"):
-            want = oracle_train(ref_layer, ref_head, x, y, config, val=val)
+            want = oracle_train(ref_layer, ref_head, x, y, config, seed, val=val)
             diverged = first_non_finite(want.loss_trace)
             if diverged is not None:
                 with pytest.raises(NumericError, match=rf"in epoch {diverged}$"):
-                    train(layer, head, x, y, config, val=val)
+                    train(layer, head, x, y, config, seed, val=val)
                 return
-            result = train(layer, head, x, y, config, val=val)
+            result = train(layer, head, x, y, config, seed, val=val)
 
         assert result.epochs_run == want.epochs_run == len(result.loss_trace)
         assert same_finite_trace(result.loss_trace, want.loss_trace)
@@ -321,11 +320,11 @@ class TestAdapterTrainMatchesOracle:
         rng = np.random.default_rng(4)
         x, y = rng.normal(0, 1, (30, 6)), rng.integers(0, 2, (30, 2)).astype(np.float64)
         val = (rng.normal(0, 1, (5, 6)), rng.integers(0, 2, (5, 2)).astype(np.float64))
-        config = TrainConfig(learning_rate=3.0, batch_size=4, epochs=40, patience=1, seed=2)
+        config = SloraParams(learning_rate=3.0, batch_size=4, epochs=40, patience=1)
         layer, head = init_adapter(6, 2, 0.5, seed=2), init_head(6, 2, seed=2)
         ref_layer, ref_head = init_adapter(6, 2, 0.5, seed=2), init_head(6, 2, seed=2)
-        result = train(layer, head, x, y, config, val=val)
-        want = oracle_train(ref_layer, ref_head, x, y, config, val=val)
+        result = train(layer, head, x, y, config, 2, val=val)
+        want = oracle_train(ref_layer, ref_head, x, y, config, 2, val=val)
         assert result.epochs_run == want.epochs_run < 40
         assert same_finite_trace(result.loss_trace, want.loss_trace)
         assert same_bits(result.val_trace, want.val_trace)
@@ -345,10 +344,10 @@ class TestFit:
             assert owner.a.base is not None and owner.a.base is owner.b.base  # one flat buffer
             raise RuntimeError("boom")
 
-        config = SimpleNamespace(learning_rate=0.1, batch_size=2, epochs=1, seed=0)
+        config = SimpleNamespace(learning_rate=0.1, batch_size=2, epochs=1)
         with pytest.raises(RuntimeError):
             sgd.fit({"a": (owner, "a"), "b": (owner, "b")}, step,
-                    np.zeros((4, 1)), np.zeros(4), config)
+                    np.zeros((4, 1)), np.zeros(4), config, 0)
         assert owner.a is a and owner.b is b
 
     def test_one_update_per_batch(self):
@@ -360,8 +359,8 @@ class TestFit:
             out["p"][:] = [1.0, -2.0]
             return np.full(len(xb), 0.5)
 
-        config = SimpleNamespace(learning_rate=0.5, batch_size=4, epochs=2, seed=0)
-        trace = sgd.fit({"p": (owner, "p")}, step, np.zeros((10, 1)), np.zeros(10), config)
+        config = SimpleNamespace(learning_rate=0.5, batch_size=4, epochs=2)
+        trace = sgd.fit({"p": (owner, "p")}, step, np.zeros((10, 1)), np.zeros(10), config, 0)
         assert calls == [4, 4, 2] * 2
         assert owner.p.tolist() == [-3.0, 6.0]  # six steps of -0.5 * (1, -2)
         assert trace == pytest.approx([math.log(2.0)] * 2, rel=1e-15)
@@ -371,23 +370,23 @@ class TestFit:
         rng = np.random.default_rng(0)
         x = unit_rows(rng, 36, 3)
         y = rng.integers(0, 2, (36, 1)).astype(np.float64)
-        config = TrainConfig(learning_rate=1.0, batch_size=1, epochs=10, seed=0)
+        config = SloraParams(learning_rate=1.0, batch_size=1, epochs=10)
         layer, head = init_adapter(3, 3, 0.9, seed=0), init_head(3, 1, seed=0)
         u = layer.u
         with np.errstate(all="ignore"):
             want = oracle_train(init_adapter(3, 3, 0.9, seed=0), init_head(3, 1, seed=0),
-                                x, y, config)
+                                x, y, config, 0)
             with pytest.raises(NumericError, match="in epoch 2$"):
-                train(layer, head, x, y, config)
+                train(layer, head, x, y, config, 0)
         assert first_non_finite(want.loss_trace) == 2
         assert layer.u is u  # the caller's arrays are put back
 
     def test_diverged_verifier_raises(self):
         rng = np.random.default_rng(0)
         rows, targets = rng.random((40, 3)), rng.integers(0, 2, 40).astype(np.float64)
-        config = MetaTrainConfig(learning_rate=1e300, batch_size=4, epochs=5, seed=0)
+        config = MetaParams(learning_rate=1e300, batch_size=4, epochs=5)
         learner = init_meta(psi=3, seed=0)
         w1 = learner.w1
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="in epoch 0$"):
-            train_meta(rows, targets, config, learner=learner)
+            train_meta(rows, targets, config, 0, learner=learner)
         assert learner.w1 is w1

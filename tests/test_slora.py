@@ -9,7 +9,7 @@ from vulnfuse.slora import (
     AdapterLayer,
     HashedFeatureExtractor,
     ReadoutHead,
-    TrainConfig,
+    SloraParams,
     active_entry_count,
     adapter_forward,
     batch_loss_and_grads,
@@ -307,7 +307,7 @@ class TestTrain:
         before = {n: a.copy() for n, a in
                   (("u", layer.u), ("v", layer.v), ("s", layer.s),
                    ("hw", head.w), ("hb", head.b))}
-        result = train(layer, head, x, y, TrainConfig(learning_rate=0.0, epochs=4, seed=2))
+        result = train(layer, head, x, y, SloraParams(learning_rate=0.0, epochs=4), 2)
         assert np.array_equal(layer.u, before["u"])
         assert np.array_equal(layer.s, before["s"])
         assert np.array_equal(head.w, before["hw"])
@@ -319,7 +319,7 @@ class TestTrain:
         layer = init_adapter(8, 2, 0.5, seed=3)
         head = init_head(8, 2, seed=3)
         before = storage_hash(layer.w_q)
-        train(layer, head, x, y, TrainConfig(learning_rate=0.1, epochs=5, seed=4))
+        train(layer, head, x, y, SloraParams(learning_rate=0.1, epochs=5), 4)
         assert storage_hash(layer.w_q) == before
 
     def test_loss_decreases(self):
@@ -327,7 +327,7 @@ class TestTrain:
         x, y = self._task(rng, n=120)
         layer = init_adapter(8, 2, 0.5, seed=5)
         head = init_head(8, 2, seed=5)
-        result = train(layer, head, x, y, TrainConfig(learning_rate=0.1, epochs=30, seed=6))
+        result = train(layer, head, x, y, SloraParams(learning_rate=0.1, epochs=30), 6)
         assert result.loss_trace[-1] < result.loss_trace[0]
 
     def test_separable_task_reaches_f1(self):
@@ -339,7 +339,7 @@ class TestTrain:
         layer = init_adapter(dim, 4, 0.9, seed=1)
         head = init_head(dim, num_labels, seed=1)
         train(layer, head, x, y,
-              TrainConfig(learning_rate=0.1, batch_size=32, epochs=200, seed=1))
+              SloraParams(learning_rate=0.1, batch_size=32, epochs=200), 1)
         pred = (classifier_probs(x, layer, head) >= 0.5).astype(np.float64)
         tp = float(np.sum(pred * y))
         fp = float(np.sum(pred * (1 - y)))
@@ -355,7 +355,7 @@ class TestTrain:
             layer = init_adapter(8, 2, 0.5, seed=7)
             head = init_head(8, 2, seed=7)
             result = train(layer, head, x, y,
-                           TrainConfig(learning_rate=0.05, epochs=6, seed=8))
+                           SloraParams(learning_rate=0.05, epochs=6), 8)
             traces.append(result.loss_trace)
         assert traces[0] == traces[1]
 
@@ -363,7 +363,7 @@ class TestTrain:
         layer = init_adapter(4, 1, 0.5, seed=0)
         head = init_head(4, 2, seed=0)
         with pytest.raises(EmptyDataset):
-            train(layer, head, np.zeros((0, 4)), np.zeros((0, 2)), TrainConfig())
+            train(layer, head, np.zeros((0, 4)), np.zeros((0, 2)), SloraParams(), 0)
 
     def test_early_stopping_respects_patience(self):
         rng = np.random.default_rng(13)
@@ -371,7 +371,7 @@ class TestTrain:
         layer = init_adapter(8, 2, 0.5, seed=9)
         head = init_head(8, 2, seed=9)
         result = train(layer, head, x[:40], y[:40],
-                       TrainConfig(learning_rate=0.0, epochs=50, patience=2, seed=10),
+                       SloraParams(learning_rate=0.0, epochs=50, patience=2), 10,
                        val=(x[40:], y[40:]))
         assert result.epochs_run == 3  # first epoch improves on inf, then two stale
 
